@@ -56,9 +56,7 @@ from .descriptive import (
     series_summary,
 )
 from .gmm import (
-    GmmConfig,
     GmmResult,
-    MinimizeResult,
     MomentConditionSet,
     closed_form_init,
     default_conditions,

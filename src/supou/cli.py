@@ -22,7 +22,6 @@ from . import __version__
 from .descriptive import demean, histogram, normal_qq_points, sample_acov, sample_var
 from .errors import DataError, DomainError, InitializationError, ParameterError
 from .gmm import (
-    GmmConfig,
     GmmResult,
     MomentConditionSet,
     default_conditions,
@@ -50,6 +49,9 @@ EXIT_NONCONVERGED = 3
 PARAM_NAMES = ("mu", "sigma2", "alpha_pi", "B")
 WORKERS_ENV = "SUPOU_WORKERS"
 HIST_BINS = 20
+# half-width of the uniform log-scale jitter around the truth that a
+# recovery study starts each path's estimation from
+START_JITTER = 0.5
 
 
 class CliError(Exception):
@@ -226,19 +228,18 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_estimate(series: np.ndarray, kind: ModelKind,
-                  conditions: MomentConditionSet, config: GmmConfig) -> GmmResult:
+                  conditions: MomentConditionSet) -> GmmResult:
     data = demean(series) if kind is ModelKind.SV else series
-    return two_step_gmm(data, kind, conditions=conditions, config=config)
+    return two_step_gmm(data, kind, conditions=conditions)
 
 
 def cmd_estimate(args) -> int:
     kind = _model_kind(args.model)
     _, series = read_series(args.input)
     conditions = _conditions_from_args(args, kind)
-    config = GmmConfig(restart_seed=args.seed)
     out_dir = _ensure_out_dir(args)
     try:
-        result = _run_estimate(series, kind, conditions, config)
+        result = _run_estimate(series, kind, conditions)
     except (InitializationError, DataError, ParameterError) as exc:
         raise CliError(f"estimation failed: {exc}", code=EXIT_NONCONVERGED) from exc
 
@@ -274,15 +275,11 @@ def _study_one_path(task: Dict) -> Dict:
     sample = simulate_path(kind, spec, PiSpec.from_params(beta_true), schedule, sim_config)
 
     conditions = MomentConditionSet(kind=kind, lags=tuple(task["lags"]), delta=task["delta"])
-    config = GmmConfig(restart_seed=path_seed)
     # start in a log-scale neighbourhood of the truth, as in a recovery study
     start_rng = np.random.default_rng(np.random.SeedSequence(path_seed, spawn_key=(2,)))
-    theta0 = transform(beta_true) + start_rng.uniform(
-        -config.restart_radius, config.restart_radius, size=4
-    )
+    theta0 = transform(beta_true) + start_rng.uniform(-START_JITTER, START_JITTER, size=4)
     data = demean(sample.values) if kind is ModelKind.SV else sample.values
-    result = two_step_gmm(data, kind, conditions=conditions, config=config,
-                          start=untransform(theta0))
+    result = two_step_gmm(data, kind, conditions=conditions, start=untransform(theta0))
     record = {"path": task["index"], "seed": path_seed}
     record.update(result.to_dict())
     return record
@@ -431,9 +428,8 @@ def cmd_fit(args) -> int:
     )
 
     conditions = _conditions_from_args(args, kind)
-    config = GmmConfig(restart_seed=args.seed)
     try:
-        result = two_step_gmm(fitted, kind, conditions=conditions, config=config)
+        result = two_step_gmm(fitted, kind, conditions=conditions)
     except (InitializationError, DataError, ParameterError) as exc:
         raise CliError(f"fit failed: {exc}", code=EXIT_NONCONVERGED) from exc
 
@@ -484,6 +480,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n-obs", type=_positive_int, default=10_000)
     parser.add_argument("--truncation-lead", type=float, default=2000.0)
     parser.add_argument("--euler-substeps", type=_positive_int, default=20)
@@ -493,7 +490,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, model_default: str) -> No
     parser.add_argument("--model", choices=[k.value for k in ModelKind],
                         default=model_default)
     parser.add_argument("--delta", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="out")
 
 

@@ -5,9 +5,10 @@ returns: fourth moment) condition and one autocovariance condition per lag
 in the lag set; its expectation under the stationary law vanishes exactly at
 the true parameter.  Estimation minimizes the quadratic form g' W g of the
 sample moments, first with the identity weighting, then with the inverse of
-the estimated moment covariance from step one.  Optimization runs
-unconstrained in log coordinates through a quasi-Newton (BFGS) minimizer
-with central finite-difference gradients.
+the estimated moment covariance from step one.  With W = L L' the criterion
+is the sum of squares of L' g, so each step is one bounded nonlinear
+least-squares fit (scipy's trust-region reflective method) in log
+coordinates, inside a fixed log-scale box around the step-1 start.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import least_squares
 
 from .descriptive import sample_acf, sample_mean, sample_var
 from .errors import (
@@ -41,9 +43,7 @@ from .params import ModelKind, ParamVector
 
 __all__ = [
     "MomentConditionSet",
-    "GmmConfig",
     "GmmResult",
-    "MinimizeResult",
     "default_conditions",
     "moment_function_supou",
     "moment_function_int",
@@ -99,44 +99,18 @@ def default_conditions(kind: ModelKind, delta: float = 1.0) -> MomentConditionSe
     return MomentConditionSet(kind=kind, lags=lags, delta=delta)
 
 
-@dataclass(frozen=True)
-class GmmConfig:
-    """Optimizer and restart controls.
-
-    objective_tolerance bounds the gradient norm relative to its value at
-    the start; parameter_tolerance bounds the last step norm in the log
-    coordinates.  restart_radius is the half-width of the uniform log-scale
-    perturbation applied to restart points, seeded by restart_seed.
-    max_iterations matches the effort a standard quasi-Newton routine
-    spends by default; parameter_box is the half-width (log scale, around
-    the starting anchor) of the compact parameter space searched, which the
-    consistency theory assumes anyway.
-    """
-
-    max_iterations: int = 100
-    gradient_step: float = 1e-6
-    objective_tolerance: float = 1e-10
-    parameter_tolerance: float = 1e-8
-    restart_attempts: int = 5
-    restart_radius: float = 0.5
-    ridge_scale: float = 1e-10
-    restart_seed: int = 0
-    parameter_box: float = 6.0
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
-        for name in ("gradient_step", "objective_tolerance", "parameter_tolerance",
-                     "restart_radius", "parameter_box"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be > 0")
-        if self.restart_attempts < 0 or self.ridge_scale < 0.0:
-            raise DomainError("restart_attempts and ridge_scale must be >= 0")
+# half-width (log scale, around the step-1 start) of the compact parameter
+# space that both steps search, which the consistency theory assumes anyway
+PARAMETER_BOX = 6.0
 
 
 @dataclass(frozen=True)
 class GmmResult:
-    """Estimates and diagnostics of both GMM steps."""
+    """Estimates and diagnostics of both GMM steps.
+
+    step1_stop and step2_stop say why each fit stopped: "converged",
+    "max_evaluations" or "at_box_edge" (see `minimize`).
+    """
 
     conditions: MomentConditionSet
     step1_estimate: ParamVector
@@ -144,10 +118,17 @@ class GmmResult:
     step1_objective: float
     step2_objective: float
     weighting: np.ndarray
-    converged_step1: bool
-    converged_step2: bool
     n_used: int
-    restarts_used: int = 0
+    step1_stop: str
+    step2_stop: str
+
+    @property
+    def converged_step1(self) -> bool:
+        return self.step1_stop == "converged"
+
+    @property
+    def converged_step2(self) -> bool:
+        return self.step2_stop == "converged"
 
     def to_dict(self, annualize_factor: Optional[float] = None) -> Dict:
         """JSON-ready summary with a fixed field order."""
@@ -172,7 +153,8 @@ class GmmResult:
             "converged_step1": self.converged_step1,
             "converged_step2": self.converged_step2,
             "n_used": self.n_used,
-            "restarts_used": self.restarts_used,
+            "step1_stop": self.step1_stop,
+            "step2_stop": self.step2_stop,
         }
         if annualize_factor is not None:
             out["annualize_factor"] = annualize_factor
@@ -218,14 +200,17 @@ def _moment_targets(beta: ParamVector, conditions: MomentConditionSet) -> np.nda
     return out
 
 
-def _window_products(window: np.ndarray, conditions: MomentConditionSet) -> np.ndarray:
-    if window.shape != (conditions.m + 1,):
+def _moment_columns(z: np.ndarray, conditions: MomentConditionSet) -> np.ndarray:
+    """(N-m) x d data products (z_t, z_t^2, z_t z_{t+h} ...), one row per window."""
+    n = z.size - conditions.m
+    if n < 1:
         raise DataError(
-            f"window must have length m+1 = {conditions.m + 1}, got {window.shape}"
+            f"need more than m = {conditions.m} observations, got {z.size}"
         )
-    head = [window[0], window[0] ** 2]
-    tail = [window[0] * window[h] for h in conditions.lags]
-    return np.array(head + tail)
+    lead = z[:n]
+    rows = [lead, lead * lead] + [lead * z[h:h + n] for h in conditions.lags]
+    # transposed, each column is contiguous, so column means sum pairwise
+    return np.stack(rows).T
 
 
 def _moment_function(window, beta: ParamVector, conditions: MomentConditionSet,
@@ -233,7 +218,11 @@ def _moment_function(window, beta: ParamVector, conditions: MomentConditionSet,
     if conditions.kind is not kind:
         raise DomainError(f"conditions are for kind {conditions.kind}, not {kind}")
     z = _estimation_series(window, kind)
-    return _window_products(z, conditions) - _moment_targets(beta, conditions)
+    if z.shape != (conditions.m + 1,):
+        raise DataError(
+            f"window must have length m+1 = {conditions.m + 1}, got {z.shape}"
+        )
+    return _moment_columns(z, conditions)[0] - _moment_targets(beta, conditions)
 
 
 def moment_function_supou(window, beta: ParamVector,
@@ -254,23 +243,10 @@ def moment_function_sv(window, beta: ParamVector,
     return _moment_function(window, beta, conditions, ModelKind.SV)
 
 
-def _data_moments(z: np.ndarray, conditions: MomentConditionSet) -> np.ndarray:
-    """Sliding-window averages of the data products, using 1/(N-m)."""
-    n = z.size - conditions.m
-    if n < 1:
-        raise DataError(
-            f"need more than m = {conditions.m} observations, got {z.size}"
-        )
-    lead = z[:n]
-    cols = [lead.mean(), (lead * lead).mean()]
-    cols += [(lead * z[h:h + n]).mean() for h in conditions.lags]
-    return np.array(cols)
-
-
 def sample_moments(data, beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
     """Average of the moment function over all N-m sliding windows."""
     z = _estimation_series(data, conditions.kind)
-    return _data_moments(z, conditions) - _moment_targets(beta, conditions)
+    return _moment_columns(z, conditions).mean(axis=0) - _moment_targets(beta, conditions)
 
 
 def _require_pd(W, d: int) -> np.ndarray:
@@ -306,9 +282,7 @@ def estimate_weighting(data, beta1: ParamVector, conditions: MomentConditionSet,
     n = z.size - conditions.m
     if n < conditions.d:
         raise DataError(f"need at least d = {conditions.d} windows, got {n}")
-    lead = z[:n]
-    columns = [lead, lead * lead] + [lead * z[h:h + n] for h in conditions.lags]
-    F = np.column_stack(columns) - _moment_targets(beta1, conditions)
+    F = _moment_columns(z, conditions) - _moment_targets(beta1, conditions)
     S = (F.T @ F) / n
     if ridge_scale > 0.0:
         S = S + (ridge_scale * np.trace(S) / conditions.d) * np.eye(conditions.d)
@@ -355,125 +329,27 @@ def untransform(theta) -> ParamVector:
 
 
 # ---------------------------------------------------------------------------
-# quasi-Newton minimizer
+# bounded least squares
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinimizeResult:
-    theta: np.ndarray
-    value: float
-    converged: bool
-    iterations: int
-    evaluations: int
+def minimize(residuals: Callable, theta0, center: np.ndarray) -> Tuple[np.ndarray, str]:
+    """Minimize the sum of squared residuals inside center +/- PARAMETER_BOX.
 
-
-def _fd_gradient(fn: Callable, theta: np.ndarray, f0: float, step: float) -> np.ndarray:
-    grad = np.empty(theta.size)
-    for j in range(theta.size):
-        h = step * max(1.0, abs(theta[j]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += h
-        dn[j] -= h
-        f_up, f_dn = fn(up), fn(dn)
-        if math.isfinite(f_up) and math.isfinite(f_dn):
-            grad[j] = (f_up - f_dn) / (2.0 * h)
-        elif math.isfinite(f_up):
-            grad[j] = (f_up - f0) / h
-        elif math.isfinite(f_dn):
-            grad[j] = (f0 - f_dn) / h
-        else:
-            grad[j] = np.nan
-    return grad
-
-
-def minimize(objective_fn: Callable, theta0, config: GmmConfig) -> MinimizeResult:
-    """BFGS with central finite differences and Armijo backtracking.
-
-    Converged means both the gradient norm (relative to its starting
-    magnitude, with an absolute floor of one) and the last step norm fell
-    below the configured tolerances within max_iterations.  The absolute
-    floor is deliberate: on badly scaled criteria whose dominant component
-    dwarfs the rest, the run stops once that component is matched, which is
-    how a standard quasi-Newton routine with default tolerances behaves.
-    Non-finite objective values during the line search shrink the step; if
-    no finite descent step exists at all, the routine stops with the
-    convergence flag reflecting the gradient test.  The returned value
-    never exceeds the objective at theta0.
+    One call of scipy's trust-region reflective least squares with
+    three-point finite-difference Jacobians and default tolerances.  Returns
+    the final theta and why the fit stopped: "at_box_edge" when any
+    coordinate ends on the box, else "max_evaluations" when the evaluation
+    budget ran out, else "converged".  Residuals that are not finite at a
+    trial point shrink the trust region; at the start they raise DomainError.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    f = float(objective_fn(theta))
-    if not math.isfinite(f):
-        raise DomainError("objective must be finite at the starting point")
-    evals = 1
-    dim = theta.size
-
-    grad = _fd_gradient(objective_fn, theta, f, config.gradient_step)
-    evals += 2 * dim
-    if not np.all(np.isfinite(grad)):
-        return MinimizeResult(theta, f, False, 0, evals)
-
-    grad_tol = config.objective_tolerance * max(1.0, float(np.abs(grad).max()))
-    step_norm = 0.0
-    H = np.eye(dim)
-    iterations = 0
-    reset_used = False
-    converged = bool(np.abs(grad).max() <= grad_tol)
-
-    while not converged and iterations < config.max_iterations:
-        direction = -H @ grad
-        descent = float(grad @ direction)
-        if not np.all(np.isfinite(direction)) or descent >= 0.0:
-            H = np.eye(dim)
-            direction = -grad
-            descent = float(grad @ direction)
-
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            candidate = theta + alpha * direction
-            f_new = float(objective_fn(candidate))
-            evals += 1
-            if math.isfinite(f_new) and f_new <= f + 1e-4 * alpha * descent:
-                accepted = True
-                break
-            alpha *= 0.5
-
-        if not accepted:
-            if not reset_used:
-                # one steepest-descent retry before declaring the point final
-                H = np.eye(dim)
-                reset_used = True
-                iterations += 1
-                continue
-            converged = bool(np.abs(grad).max() <= grad_tol)
-            break
-
-        reset_used = False
-        step = alpha * direction
-        theta_new = theta + step
-        grad_new = _fd_gradient(objective_fn, theta_new, f_new, config.gradient_step)
-        evals += 2 * dim
-        theta, f = theta_new, f_new
-        iterations += 1
-        if not np.all(np.isfinite(grad_new)):
-            converged = False
-            break
-
-        delta_grad = grad_new - grad
-        curvature = float(step @ delta_grad)
-        if curvature > 1e-10 * np.linalg.norm(step) * np.linalg.norm(delta_grad):
-            rho = 1.0 / curvature
-            outer = np.outer(step, delta_grad)
-            eye = np.eye(dim)
-            H = (eye - rho * outer) @ H @ (eye - rho * outer.T) + rho * np.outer(step, step)
-        grad = grad_new
-        step_norm = float(np.abs(step).max())
-        converged = bool(
-            np.abs(grad).max() <= grad_tol and step_norm <= config.parameter_tolerance
-        )
-
-    return MinimizeResult(theta, f, converged, iterations, evals)
+    theta0 = np.asarray(theta0, dtype=float)
+    if not np.all(np.isfinite(residuals(theta0))):
+        raise DomainError("residuals must be finite at the starting point")
+    fit = least_squares(residuals, theta0, jac="3-point", method="trf",
+                        bounds=(center - PARAMETER_BOX, center + PARAMETER_BOX))
+    if np.any(fit.active_mask != 0):
+        return fit.x, "at_box_edge"
+    return fit.x, ("max_evaluations" if fit.status == 0 else "converged")
 
 
 # ---------------------------------------------------------------------------
@@ -604,21 +480,16 @@ def initial_estimate(data, conditions: MomentConditionSet) -> ParamVector:
 # two-step procedure
 # ---------------------------------------------------------------------------
 
-def _theta_objective(base: np.ndarray, W: np.ndarray,
-                     conditions: MomentConditionSet,
-                     box_center: Optional[np.ndarray] = None,
-                     box_radius: float = np.inf) -> Callable:
-    def fn(theta: np.ndarray) -> float:
-        if box_center is not None and np.abs(theta - box_center).max() > box_radius:
-            return np.inf
+def _residuals(base: np.ndarray, W: np.ndarray, conditions: MomentConditionSet) -> Callable:
+    # L' g with W = L L', so that the sum of squares is the criterion g' W g
+    L = np.linalg.cholesky(W)
+
+    def fn(theta: np.ndarray) -> np.ndarray:
         try:
-            beta = untransform(theta)
-            g = base - _moment_targets(beta, conditions)
+            g = base - _moment_targets(untransform(theta), conditions)
         except (ParameterError, DomainError, OverflowError, ZeroDivisionError):
-            return np.inf
-        if not np.all(np.isfinite(g)):
-            return np.inf
-        return float(g @ W @ g)
+            return np.full(base.size, np.inf)
+        return L.T @ g
 
     return fn
 
@@ -627,21 +498,17 @@ def two_step_gmm(
     data,
     kind: ModelKind,
     conditions: Optional[MomentConditionSet] = None,
-    config: GmmConfig = GmmConfig(),
     start: Optional[ParamVector] = None,
 ) -> GmmResult:
     """Two-step iterated GMM: identity weighting, then inverse moment covariance.
 
-    When no start is given, step 1 begins from a crude point that matches
-    only the sample mean and variance at a fixed acf shape; restarts use
-    the closed-form initializer applied to the empirical moments, perturbed
-    uniformly on the log scale (deterministically in restart_seed).  When a
-    start is given (e.g. a recovery study seeding near the truth), it
-    replaces both.  Step 2 starts from the step-1 estimate when that step
-    converged to a plausible point; otherwise, and after any step-2
-    failure, it falls back to the restart anchor (up to restart_attempts
-    perturbations).  A result is always returned; failure to converge is
-    reported through the flags, never silently.
+    Step 1 begins at `start` when one is given (e.g. a recovery study
+    seeding near the truth), else at a crude point that matches only the
+    sample mean and variance at a fixed acf shape.  Step 2 begins at the
+    step-1 estimate.  Both steps search the same log-scale box of half-width
+    PARAMETER_BOX around the step-1 start.  The procedure is deterministic;
+    a result is always returned, and why each step stopped is reported,
+    never silently.
 
     For the SV kind the data are raw log returns; demeaning them first is
     the caller's responsibility.
@@ -652,78 +519,28 @@ def two_step_gmm(
         raise DomainError(f"conditions are for kind {conditions.kind}, not {kind}")
 
     z = _estimation_series(data, kind)
-    base = _data_moments(z, conditions)
+    base = _moment_columns(z, conditions).mean(axis=0)
     n_used = z.size - conditions.m
+    if start is None:
+        start = _moment_matched_start(data, conditions)
+    center = transform(start)
 
-    # the compact parameter space is a log-scale box around the step-1 start;
-    # restarts perturb the data-driven initializer when it falls inside it
-    if start is not None:
-        theta_center = transform(start)
-        theta_anchor = theta_center
-    else:
-        theta_center = transform(_moment_matched_start(data, conditions))
-        theta_anchor = transform(initial_estimate(data, conditions))
-        if np.abs(theta_anchor - theta_center).max() > config.parameter_box:
-            theta_anchor = theta_center
-    rng = np.random.default_rng(np.random.SeedSequence(config.restart_seed))
-
-    def perturbed() -> np.ndarray:
-        return theta_anchor + rng.uniform(
-            -config.restart_radius, config.restart_radius, size=4
-        )
-
-    # step 1: identity weighting
     identity = np.eye(conditions.d)
-    obj1 = _theta_objective(base, identity, conditions,
-                            box_center=theta_center, box_radius=config.parameter_box)
-    theta_start = theta_center
-    attempts = 0
-    while not math.isfinite(obj1(theta_start)):
-        if attempts >= config.restart_attempts:
-            raise DataError("GMM objective is not finite at any candidate start")
-        theta_start = perturbed()
-        attempts += 1
-    res1 = minimize(obj1, theta_start, config)
-    beta1 = untransform(res1.theta)
+    theta1, stop1 = minimize(_residuals(base, identity, conditions), center, center)
+    beta1 = untransform(theta1)
 
-    # step 2: inverse estimated moment covariance
-    weighting = estimate_weighting(data, beta1, conditions, config.ridge_scale)
-    obj2 = _theta_objective(base, weighting, conditions,
-                            box_center=theta_center, box_radius=config.parameter_box)
-
-    step1_usable = res1.converged and bool(
-        np.abs(res1.theta - theta_center).max() <= config.parameter_box
-    )
-    candidates = [res1.theta if step1_usable else theta_anchor]
-    candidates += [perturbed() for _ in range(config.restart_attempts)]
-
-    # canonical second step starts from the first candidate; restarts only
-    # replace it when the optimization fails to converge properly
-    best: Optional[MinimizeResult] = None
-    restarts_used = 0
-    for i, candidate in enumerate(candidates):
-        if not math.isfinite(obj2(candidate)):
-            continue
-        res = minimize(obj2, candidate, config)
-        if best is None:
-            best = res
-            restarts_used = i
-        if res.converged:
-            best = res
-            restarts_used = i
-            break
-    if best is None:
-        raise DataError("step-2 objective is not finite at any candidate start")
+    weighting = estimate_weighting(data, beta1, conditions)
+    theta2, stop2 = minimize(_residuals(base, weighting, conditions), theta1, center)
+    beta2 = untransform(theta2)
 
     return GmmResult(
         conditions=conditions,
         step1_estimate=beta1,
-        step2_estimate=untransform(best.theta),
-        step1_objective=res1.value,
-        step2_objective=best.value,
+        step2_estimate=beta2,
+        step1_objective=objective(data, beta1, identity, conditions),
+        step2_objective=objective(data, beta2, weighting, conditions),
         weighting=weighting,
-        converged_step1=res1.converged,
-        converged_step2=best.converged,
         n_used=n_used,
-        restarts_used=restarts_used,
+        step1_stop=stop1,
+        step2_stop=stop2,
     )

@@ -207,7 +207,9 @@ def gamma_mix_integral(
 
     Evaluates integral_0^inf kernel(B r) r^(alpha-1) e^(-r) / Gamma(alpha) dr
     by adaptive quadrature, split at r = 1 so the possible algebraic endpoint
-    behaviour at 0 and the infinite tail are handled separately.
+    behaviour at 0 is handled apart, and at r = alpha next to the Gamma
+    mode, whose narrow peak a quadrature of the whole infinite tail can miss
+    entirely for large alpha.
 
     Raises QuadratureError when the reported error exceeds the tolerance.
     """
@@ -216,10 +218,12 @@ def gamma_mix_integral(
     def integrand(r: float) -> float:
         return kernel(B * r) * math.exp((alpha_pi - 1.0) * math.log(r) - r - log_norm)
 
-    v_head, e_head = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol, limit=400)
-    v_tail, e_tail = quad(integrand, 1.0, np.inf, epsabs=0.0, epsrel=rel_tol, limit=400)
-    value = v_head + v_tail
-    err = e_head + e_tail
+    edges = (0.0, 1.0, max(alpha_pi, 1.0), np.inf)
+    value = err = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        v, e = quad(integrand, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=400)
+        value += v
+        err += e
     if not math.isfinite(value) or err > 100.0 * rel_tol * max(abs(value), 1e-300):
         raise QuadratureError(
             f"quadrature reached absolute error {err:.3e} for value {value:.6e}"

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from supou import (
-    GmmConfig,
     LevySpec,
     ModelKind,
     ObservationSchedule,
@@ -68,7 +67,6 @@ def _recovery_study(beta_true, n_paths, n_obs, seed):
         start_rng = np.random.default_rng(np.random.SeedSequence(path_seed, spawn_key=(2,)))
         theta0 = transform(beta_true) + start_rng.uniform(-0.5, 0.5, 4)
         result = two_step_gmm(path.values, ModelKind.SUPOU,
-                              config=GmmConfig(restart_seed=path_seed),
                               start=untransform(theta0))
         if result.converged_step2:
             n_converged += 1
@@ -301,7 +299,7 @@ class TestCriterion8:
             path = simulate_path(ModelKind.SV, spec, pi, schedule,
                                  SimulationConfig(seed=seed))
             data = demean(path.values)
-            result = two_step_gmm(data, ModelKind.SV, config=GmmConfig(restart_seed=seed))
+            result = two_step_gmm(data, ModelKind.SV)
             squared = data * data
             emp_acf = np.array([sample_acov(squared, h) for h in lags]) / sample_var(squared)
             ssd1 = float(((emp_acf - model_acf(result.step1_estimate)) ** 2).sum())

@@ -64,7 +64,7 @@ class TestEstimate:
         est = tmp_path / "est"
         assert run(["simulate", "--n-obs", 10000, "--seed", 42, "--out-dir", sim]) == 0
         code = run(["estimate", "--model", "supou", "--input", sim / "path_0000.csv",
-                    "--seed", 7, "--annualize-factor", 250, "--out-dir", est])
+                    "--annualize-factor", 250, "--out-dir", est])
         assert code == 0
         result = json.loads((est / "estimate.json").read_text())
         assert result["converged_step2"] is True
@@ -188,7 +188,7 @@ class TestFit:
                     "--out-dir", sim]) == 0
         out = tmp_path / "fit"
         code = run(["fit", "--returns", "--input", sim / "path_0000.csv",
-                    "--seed", 4, "--acf-lags", 12, "--out-dir", out])
+                    "--acf-lags", 12, "--out-dir", out])
         assert code in (0, 3)
         fit = json.loads((out / "fit.json").read_text())
         assert fit["acf_decay_exponent_step2"] == 1.0 - fit["step2_estimate"]["alpha_pi"]

@@ -247,6 +247,17 @@ class TestQuadratureOracle:
             for h, value in integrated.acov.items():
                 assert_allclose(value, intsupou_acov(beta, delta, h), rtol=1e-8)
 
+    @pytest.mark.parametrize("alpha", [208.0, 500.0, 1000.0])
+    def test_large_alpha_finds_the_gamma_peak(self, alpha):
+        # the Gamma(alpha, 1) mass sits in a narrow peak near r = alpha, far
+        # out in the tail; daily-return scale parameters on the OU-limit ridge
+        beta = ParamVector(6.1e-6, 1.4e-9, alpha, -2.5e-4)
+        oracle = quadrature_moments(beta, ModelKind.INTEGRATED, 1.0, lags=[1, 5])
+        assert_allclose(oracle.mean, intsupou_mean(beta, 1.0), rtol=1e-9)
+        assert_allclose(oracle.var, intsupou_var(beta, 1.0), rtol=1e-9)
+        for h, value in oracle.acov.items():
+            assert_allclose(value, intsupou_acov(beta, 1.0, h), rtol=1e-9)
+
 
 class TestParamVector:
     @pytest.mark.parametrize(
