@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -119,9 +120,12 @@ def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
             if len(row) != n_cols:
                 raise CliError(f"{path}:{lineno}: inconsistent column count")
             try:
-                values.append(float(row[-1]))
+                value = float(row[-1])
             except ValueError as exc:
                 raise CliError(f"{path}:{lineno}: not a number: {row[-1]!r}") from exc
+            if not math.isfinite(value):
+                raise CliError(f"{path}:{lineno}: not a finite number: {row[-1]!r}")
+            values.append(value)
             if n_cols == 2:
                 dates.append(row[0])
     if not values:

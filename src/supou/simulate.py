@@ -233,20 +233,18 @@ def _check_times_in_window(t: np.ndarray, jumps: JumpStream) -> None:
         )
 
 
-def evaluate_supou(jumps: JumpStream, times) -> np.ndarray:
-    """Evaluate X(t) = sum of U_i exp(A_i (t - tau_i)) over jumps with tau_i <= t.
+def _jump_sum(jumps: JumpStream, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sum of w_i exp(A_i (t - tau_i)) over jumps with tau_i <= t, at each time t.
 
-    Exact for the realized stream: the only terms skipped are those whose
-    exponentials underflow to 0.0 in float64 anyway.  Times must be
-    nondecreasing and inside the stream window.
+    The one dense kernel: times are processed in chunks against the jumps
+    still alive at the chunk start.  The only terms skipped are those whose
+    exponentials underflow to 0.0 in float64 anyway.
     """
-    t = np.ascontiguousarray(times, dtype=float)
-    _check_times_in_window(t, jumps)
     out = np.zeros(t.size)
     if len(jumps) == 0 or t.size == 0:
         return out
 
-    tau, sizes, rates = jumps.times, jumps.sizes, jumps.rates
+    tau, rates = jumps.times, jumps.rates
     expiry = tau + LOG_CUTOFF / (-rates)
     for i0 in range(0, t.size, _TIME_CHUNK):
         tc = t[i0:i0 + _TIME_CHUNK]
@@ -256,46 +254,44 @@ def evaluate_supou(jumps: JumpStream, times) -> np.ndarray:
         live = expiry[:hi] >= tc[0]
         if not live.any():
             continue
-        tau_l, size_l, rate_l = tau[:hi][live], sizes[:hi][live], rates[:hi][live]
+        tau_l, w_l, rate_l = tau[:hi][live], weights[:hi][live], rates[:hi][live]
         dt = tc[:, None] - tau_l[None, :]
         exponent = np.where(dt >= 0.0, rate_l[None, :] * dt, -np.inf)
-        out[i0:i0 + tc.size] = np.exp(exponent) @ size_l
+        out[i0:i0 + tc.size] = np.exp(exponent) @ w_l
     return out
 
 
-def integrate_supou(jumps: JumpStream, schedule: ObservationSchedule) -> PathSample:
-    """Integrals V_n of X over ((n-1)*delta, n*delta], in closed form per jump.
+def evaluate_supou(jumps: JumpStream, times) -> np.ndarray:
+    """Evaluate X(t) = sum of U_i exp(A_i (t - tau_i)) over jumps with tau_i <= t.
 
-    A jump at tau contributes (U/A) (exp(A (b - tau)) - exp(A (max(a, tau) - tau)))
-    to the integral over [a, b] when tau < b, and nothing otherwise; no
-    discretization is involved.
+    Exact for the realized stream: the only terms skipped are those whose
+    exponentials underflow to 0.0 in float64 anyway.  Times must be
+    nondecreasing and inside the stream window.
+    """
+    t = np.ascontiguousarray(times, dtype=float)
+    _check_times_in_window(t, jumps)
+    return _jump_sum(jumps, jumps.sizes, t)
+
+
+def integrate_supou(jumps: JumpStream, schedule: ObservationSchedule) -> PathSample:
+    """Integrals V_n of X over (a, b] = ((n-1)*delta, n*delta], in closed form.
+
+    A jump at tau <= a contributes U expm1(A delta)/A * exp(A (a - tau)), a
+    jump sum at the left edges with weights U expm1(A delta)/A; a jump born
+    inside (a, b] contributes U expm1(A (b - tau))/A.  Every term is
+    positive, so nothing cancels, and no discretization is involved.
     """
     edges = schedule.delta * np.arange(schedule.n_obs + 1)
     if edges[0] < jumps.window_start or edges[-1] > jumps.window_end:
         raise DomainError("integration intervals fall outside the jump window")
-    values = np.zeros(schedule.n_obs)
-    if len(jumps) == 0:
-        return PathSample(schedule, values)
-
     tau, sizes, rates = jumps.times, jumps.sizes, jumps.rates
-    expiry = tau + LOG_CUTOFF / (-rates)
-    weight = sizes / rates
-    lo_edges, hi_edges = edges[:-1], edges[1:]
-    for i0 in range(0, schedule.n_obs, _TIME_CHUNK):
-        a = lo_edges[i0:i0 + _TIME_CHUNK]
-        b = hi_edges[i0:i0 + _TIME_CHUNK]
-        hi = int(np.searchsorted(tau, b[-1], side="right"))
-        if hi == 0:
-            continue
-        live = expiry[:hi] >= a[0]
-        if not live.any():
-            continue
-        tau_l, rate_l, w_l = tau[:hi][live], rates[:hi][live], weight[:hi][live]
-        started = tau_l[None, :] < b[:, None]
-        lower = np.maximum(a[:, None], tau_l[None, :])
-        exp_hi = np.where(started, rate_l[None, :] * (b[:, None] - tau_l[None, :]), -np.inf)
-        exp_lo = np.where(started, rate_l[None, :] * (lower - tau_l[None, :]), -np.inf)
-        values[i0:i0 + a.size] = (np.exp(exp_hi) - np.exp(exp_lo)) @ w_l
+    values = _jump_sum(jumps, sizes * np.expm1(rates * schedule.delta) / rates, edges[:-1])
+    # interval (edges[k], edges[k+1]] of each jump; -1 and n_obs lie outside
+    k = np.searchsorted(edges, tau, side="left") - 1
+    born = (k >= 0) & (k < schedule.n_obs)
+    k, tau, sizes, rates = k[born], tau[born], sizes[born], rates[born]
+    values += np.bincount(k, weights=sizes * np.expm1(rates * (edges[k + 1] - tau)) / rates,
+                          minlength=schedule.n_obs)
     return PathSample(schedule, values)
 
 

@@ -206,3 +206,13 @@ class TestFit:
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--input", data, "--out-dir", tmp_path / "o"])
         assert exc.value.code == 2
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("mode", [["estimate"], ["fit", "--returns"], ["fit", "--prices"]])
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_exit_2_names_the_line(self, tmp_path, capsys, mode, token):
+        data = tmp_path / "series.csv"
+        data.write_text(f"1.0\n{token}\n3.0\n")
+        assert run([*mode, "--input", data, "--out-dir", tmp_path / "o"]) == 2
+        assert f"{data}:2: not a finite number: '{token}'" in capsys.readouterr().err

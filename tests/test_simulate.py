@@ -156,6 +156,33 @@ class TestIntegrate:
         double = integrate_supou(stream, ObservationSchedule(2.0, 1)).values
         assert_allclose(unit.sum(), double[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("alpha_pi", [1.1, 1.95, 4.0])
+    def test_matches_per_jump_reference(self, alpha_pi, seed):
+        pi = PiSpec.from_params(ParamVector(0.015, 0.003, alpha_pi, -0.1))
+        drawn = sample_jump_stream(SPEC, pi, (-2000.0, 60.0), seed=seed)
+        # one extra jump exactly on the interval edge t = 30
+        at = int(np.searchsorted(drawn.times, 30.0))
+        stream = JumpStream(
+            times=np.insert(drawn.times, at, 30.0),
+            sizes=np.insert(drawn.sizes, at, 0.2),
+            rates=np.insert(drawn.rates, at, -0.3),
+            window_start=drawn.window_start,
+            window_end=drawn.window_end,
+        )
+        values = integrate_supou(stream, ObservationSchedule(1.0, 60)).values
+        reference = []
+        for a in range(60):
+            b = a + 1.0
+            terms = []
+            for tau, u, rate in zip(stream.times, stream.sizes, stream.rates):
+                if tau < b:
+                    lo = max(a, tau)
+                    terms.append(u / rate * math.exp(rate * (lo - tau))
+                                 * math.expm1(rate * (b - lo)))
+            reference.append(math.fsum(terms))
+        assert_allclose(values, reference, rtol=1e-14, atol=0.0)
+
     def test_long_path_variance(self):
         sched = ObservationSchedule(1.0, 10_000)
         path = simulate_path(ModelKind.INTEGRATED, SPEC, PI, sched, SimulationConfig(seed=11))
