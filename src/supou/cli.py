@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -133,10 +134,6 @@ def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
     return (dates if dates else None), np.array(values)
 
 
-def _model_kind(name: str) -> ModelKind:
-    return ModelKind(name)
-
-
 def _beta_from_args(args) -> ParamVector:
     try:
         return ParamVector(args.mu, args.sigma2, args.alpha_pi, args.B)
@@ -186,16 +183,12 @@ def _manifest(args, extra: Dict) -> Dict:
     return payload
 
 
-def _params_dict(beta: ParamVector) -> Dict[str, float]:
-    return {"mu": beta.mu, "sigma2": beta.sigma2, "alpha_pi": beta.alpha_pi, "B": beta.B}
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    kind = _model_kind(args.model)
+    kind = ModelKind(args.model)
     beta = _beta_from_args(args)
     spec = _levy_from_args(args, beta)
     out_dir = _ensure_out_dir(args)
@@ -211,7 +204,8 @@ def cmd_simulate(args) -> int:
         )
         sample = simulate_path(kind, spec, pi, schedule, config)
         filename = os.path.join(out_dir, f"path_{p:04d}.csv")
-        sample.write_csv(filename)
+        _write_csv(filename, ["t", "value"],
+                   [[_fmt(t), _fmt(v)] for t, v in zip(schedule.times(), sample.values)])
         paths.append(os.path.basename(filename))
         logger.info("wrote %s (%d observations)", filename, schedule.n_obs)
 
@@ -231,21 +225,22 @@ def cmd_simulate(args) -> int:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _run_estimate(series: np.ndarray, kind: ModelKind,
-                  conditions: MomentConditionSet) -> GmmResult:
+def _run_estimate(series: np.ndarray, conditions: MomentConditionSet) -> GmmResult:
+    """Cold-start two-step GMM on a series (SV returns are demeaned first)."""
+    kind = conditions.kind
     data = demean(series) if kind is ModelKind.SV else series
-    return two_step_gmm(data, kind, conditions=conditions)
+    try:
+        return two_step_gmm(data, kind, conditions=conditions)
+    except (InitializationError, DataError, ParameterError) as exc:
+        raise CliError(f"estimation failed: {exc}", code=EXIT_NONCONVERGED) from exc
 
 
 def cmd_estimate(args) -> int:
-    kind = _model_kind(args.model)
+    kind = ModelKind(args.model)
     _, series = read_series(args.input)
     conditions = _conditions_from_args(args, kind)
     out_dir = _ensure_out_dir(args)
-    try:
-        result = _run_estimate(series, kind, conditions)
-    except (InitializationError, DataError, ParameterError) as exc:
-        raise CliError(f"estimation failed: {exc}", code=EXIT_NONCONVERGED) from exc
+    result = _run_estimate(series, conditions)
 
     payload = result.to_dict(annualize_factor=args.annualize_factor)
     _write_json(os.path.join(out_dir, "estimate.json"), payload)
@@ -255,7 +250,7 @@ def cmd_estimate(args) -> int:
     )
     logger.info(
         "step-2 estimate %s (converged: %s)",
-        _params_dict(result.step2_estimate), result.converged_step2,
+        asdict(result.step2_estimate), result.converged_step2,
     )
     return EXIT_OK if result.converged_step2 else EXIT_NONCONVERGED
 
@@ -290,7 +285,7 @@ def _study_one_path(task: Dict) -> Dict:
 
 
 def cmd_study(args) -> int:
-    kind = _model_kind(args.model)
+    kind = ModelKind(args.model)
     beta = _beta_from_args(args)
     spec = _levy_from_args(args, beta)
     conditions = _conditions_from_args(args, kind)
@@ -361,7 +356,7 @@ def cmd_study(args) -> int:
         "model": kind.value,
         "n_paths": args.n_paths,
         "n_obs": args.n_obs,
-        "true_params": _params_dict(beta),
+        "true_params": asdict(beta),
         "converged_step1": sum(int(rec["converged_step1"]) for rec in records),
         "converged_step2": len(converged),
         "non_converged_paths": [rec["path"] for rec in records if not rec["converged_step2"]],
@@ -371,7 +366,7 @@ def cmd_study(args) -> int:
             name: float(np.median([rec["step2_estimate"][name] for rec in converged]))
             for name in PARAM_NAMES
         }
-        true_values = _params_dict(beta)
+        true_values = asdict(beta)
         summary["medians_step2"] = medians
         summary["median_abs_error_step2"] = {
             name: float(np.median([
@@ -410,7 +405,7 @@ def _model_curves(kind: ModelKind, beta: ParamVector, delta: float,
 
 
 def cmd_fit(args) -> int:
-    kind = _model_kind(args.model)
+    kind = ModelKind(args.model)
     dates, raw = read_series(args.input)
     if args.prices:
         if np.any(raw <= 0.0):
@@ -431,11 +426,7 @@ def cmd_fit(args) -> int:
         [[label, _fmt(value)] for label, value in rows],
     )
 
-    conditions = _conditions_from_args(args, kind)
-    try:
-        result = two_step_gmm(fitted, kind, conditions=conditions)
-    except (InitializationError, DataError, ParameterError) as exc:
-        raise CliError(f"fit failed: {exc}", code=EXIT_NONCONVERGED) from exc
+    result = _run_estimate(series, _conditions_from_args(args, kind))
 
     # empirical curves are for the estimation series (squared returns for SV)
     target = fitted * fitted if kind is ModelKind.SV else fitted
@@ -463,7 +454,7 @@ def cmd_fit(args) -> int:
     )
     logger.info(
         "fit complete: step-2 %s (converged: %s)",
-        _params_dict(result.step2_estimate), result.converged_step2,
+        asdict(result.step2_estimate), result.converged_step2,
     )
     return EXIT_OK if result.converged_step2 else EXIT_NONCONVERGED
 

@@ -7,8 +7,7 @@ windows averaged with 1/(N-m)); the two are intentionally distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -16,13 +15,11 @@ from scipy.special import ndtri
 from .errors import DataError, DomainError
 
 __all__ = [
-    "SeriesSummary",
     "sample_mean",
     "sample_var",
     "sample_acov",
     "sample_acf",
     "demean",
-    "series_summary",
     "normal_qq_points",
     "histogram",
 ]
@@ -41,9 +38,7 @@ def sample_mean(x) -> float:
 
 def sample_var(x) -> float:
     """Sample variance with divisor n."""
-    arr = _as_series(x)
-    centered = arr - arr.mean()
-    return float(centered @ centered) / arr.size
+    return sample_acov(x, 0)
 
 
 def sample_acov(x, h: int) -> float:
@@ -70,27 +65,6 @@ def demean(x) -> np.ndarray:
     """Subtract the sample mean; idempotent up to round-off."""
     arr = _as_series(x)
     return arr - arr.mean()
-
-
-@dataclass(frozen=True)
-class SeriesSummary:
-    """Empirical mean, variance and autocovariances/-correlations by lag."""
-
-    n: int
-    mean: float
-    variance: float
-    acov: Dict[int, float]
-    acf: Dict[int, float]
-
-
-def series_summary(x, lags: Sequence[int]) -> SeriesSummary:
-    arr = _as_series(x)
-    acov = {int(h): sample_acov(arr, int(h)) for h in lags}
-    v = sample_var(arr)
-    if v <= 0.0:
-        raise DataError("summary with autocorrelations needs a non-constant series")
-    acf = {h: c / v for h, c in acov.items()}
-    return SeriesSummary(n=arr.size, mean=sample_mean(arr), variance=v, acov=acov, acf=acf)
 
 
 def normal_qq_points(x) -> np.ndarray:

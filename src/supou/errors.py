@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "ParameterError",
+    "DataError",
+    "WeightingMatrixError",
+    "SingularWeightingError",
+    "InitializationError",
+    "QuadratureError",
+]
+
 
 class DomainError(ValueError):
     """An argument lies outside its mathematical domain (e.g. a negative lag)."""

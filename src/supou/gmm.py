@@ -14,7 +14,7 @@ coordinates, inside a fixed log-scale box around the step-1 start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -39,15 +39,12 @@ from .moments import (
     supou_mean,
     supou_var,
 )
-from .params import ModelKind, ParamVector
+from .params import ModelKind, ParamVector, annualize
 
 __all__ = [
     "MomentConditionSet",
     "GmmResult",
     "default_conditions",
-    "moment_function_supou",
-    "moment_function_int",
-    "moment_function_sv",
     "sample_moments",
     "objective",
     "estimate_weighting",
@@ -73,6 +70,8 @@ class MomentConditionSet:
     delta: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(float(h).is_integer() for h in self.lags):
+            raise DomainError(f"lags must be integers, got {self.lags}")
         lags = tuple(int(h) for h in self.lags)
         object.__setattr__(self, "lags", lags)
         if not lags or any(h < 1 for h in lags) or any(
@@ -132,22 +131,12 @@ class GmmResult:
 
     def to_dict(self, annualize_factor: Optional[float] = None) -> Dict:
         """JSON-ready summary with a fixed field order."""
-        from .params import annualize as _annualize
-
-        def params_dict(beta: ParamVector) -> Dict[str, float]:
-            return {
-                "mu": beta.mu,
-                "sigma2": beta.sigma2,
-                "alpha_pi": beta.alpha_pi,
-                "B": beta.B,
-            }
-
         out: Dict = {
             "model": self.conditions.kind.value,
             "lags": list(self.conditions.lags),
             "delta": self.conditions.delta,
-            "step1_estimate": params_dict(self.step1_estimate),
-            "step2_estimate": params_dict(self.step2_estimate),
+            "step1_estimate": asdict(self.step1_estimate),
+            "step2_estimate": asdict(self.step2_estimate),
             "step1_objective": self.step1_objective,
             "step2_objective": self.step2_objective,
             "converged_step1": self.converged_step1,
@@ -158,8 +147,8 @@ class GmmResult:
         }
         if annualize_factor is not None:
             out["annualize_factor"] = annualize_factor
-            out["step2_estimate_annualized"] = params_dict(
-                _annualize(self.step2_estimate, annualize_factor)
+            out["step2_estimate_annualized"] = asdict(
+                annualize(self.step2_estimate, annualize_factor)
             )
         return out
 
@@ -213,38 +202,12 @@ def _moment_columns(z: np.ndarray, conditions: MomentConditionSet) -> np.ndarray
     return np.stack(rows).T
 
 
-def _moment_function(window, beta: ParamVector, conditions: MomentConditionSet,
-                     kind: ModelKind) -> np.ndarray:
-    if conditions.kind is not kind:
-        raise DomainError(f"conditions are for kind {conditions.kind}, not {kind}")
-    z = _estimation_series(window, kind)
-    if z.shape != (conditions.m + 1,):
-        raise DataError(
-            f"window must have length m+1 = {conditions.m + 1}, got {z.shape}"
-        )
-    return _moment_columns(z, conditions)[0] - _moment_targets(beta, conditions)
-
-
-def moment_function_supou(window, beta: ParamVector,
-                          conditions: MomentConditionSet) -> np.ndarray:
-    """Moment vector of one supOU observation window (X_t, ..., X_{t+m})."""
-    return _moment_function(window, beta, conditions, ModelKind.SUPOU)
-
-
-def moment_function_int(window, beta: ParamVector,
-                        conditions: MomentConditionSet) -> np.ndarray:
-    """Moment vector of one integrated-process window (V_t, ..., V_{t+m})."""
-    return _moment_function(window, beta, conditions, ModelKind.INTEGRATED)
-
-
-def moment_function_sv(window, beta: ParamVector,
-                       conditions: MomentConditionSet) -> np.ndarray:
-    """Moment vector of one raw log-return window; squares are formed here."""
-    return _moment_function(window, beta, conditions, ModelKind.SV)
-
-
 def sample_moments(data, beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
-    """Average of the moment function over all N-m sliding windows."""
+    """Average of the moment function over all N-m sliding windows.
+
+    On a window of exactly m+1 observations this is the moment function
+    itself.
+    """
     z = _estimation_series(data, conditions.kind)
     return _moment_columns(z, conditions).mean(axis=0) - _moment_targets(beta, conditions)
 

@@ -49,6 +49,7 @@ __all__ = [
     "sv_sqret_var",
     "sv_sqret_acov",
     "MomentSet",
+    "gamma_mix_integral",
     "quadrature_moments",
 ]
 
@@ -129,6 +130,7 @@ def _int_var_unit(alpha: float, B: float, delta: float) -> float:
 def intsupou_var(beta: ParamVector, delta: float) -> float:
     """Variance of the integrated supOU process over intervals of length delta."""
     delta = _check_delta(delta)
+    beta.require_positive_mean()
     return beta.sigma2 * _int_var_unit(beta.alpha_pi, beta.B, delta)
 
 
@@ -159,6 +161,7 @@ def intsupou_acov(beta: ParamVector, delta: float, h: float) -> float:
     """Autocovariance of the integrated supOU process at lag h >= 1."""
     delta = _check_delta(delta)
     h = _check_lag(h, 1.0)
+    beta.require_positive_mean()
     units = _int_acov_units(beta.alpha_pi, beta.B, delta, np.array([float(h)]))
     return beta.sigma2 * float(units[0])
 
@@ -180,7 +183,6 @@ def sv_sqret_var(beta: ParamVector, delta: float) -> float:
 
 def sv_sqret_acov(beta: ParamVector, delta: float, h: float) -> float:
     """Autocovariance of squared log returns: identical to the integrated process."""
-    beta.require_positive_mean()
     return intsupou_acov(beta, delta, h)
 
 

@@ -17,6 +17,15 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 
+__all__ = [
+    "ModelKind",
+    "ParamVector",
+    "ObservationSchedule",
+    "PiSpec",
+    "has_long_memory",
+    "annualize",
+]
+
 
 class ModelKind(str, Enum):
     """Which process the observations come from."""
@@ -62,11 +71,6 @@ class ParamVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.mu, self.sigma2, self.alpha_pi, self.B], dtype=float)
-
-    @classmethod
-    def from_array(cls, values) -> "ParamVector":
-        mu, sigma2, alpha_pi, B = (float(v) for v in values)
-        return cls(mu, sigma2, alpha_pi, B)
 
 
 @dataclass(frozen=True)

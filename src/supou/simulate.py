@@ -160,14 +160,6 @@ class PathSample:
                 f"values shape {self.values.shape} does not match n_obs={self.schedule.n_obs}"
             )
 
-    def write_csv(self, path) -> None:
-        """Write `t,value` rows with full float64 precision."""
-        times = self.schedule.times()
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,value\r\n")
-            for t, v in zip(times, self.values):
-                fh.write(f"{t:.17g},{v:.17g}\r\n")
-
 
 def _jump_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))

@@ -5,9 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from supou.cli import main
+from supou import (
+    LevySpec,
+    ModelKind,
+    ObservationSchedule,
+    PiSpec,
+    SimulationConfig,
+    simulate_path,
+)
+from supou.cli import main, read_series
 
 
 def run(argv):
@@ -37,6 +45,18 @@ class TestSimulate:
             assert run(["simulate", "--model", "sv", "--n-obs", 64, "--seed", 9,
                         "--out-dir", out]) == 0
         assert read(a / "path_0000.csv") == read(b / "path_0000.csv")
+
+    def test_csv_roundtrip(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run(["simulate", "--n-obs", 25, "--seed", 6, "--out-dir", out]) == 0
+        path = out / "path_0000.csv"
+        assert read(path).split(b"\r\n")[0] == b"t,value"
+        times, values = read_series(str(path))
+        schedule = ObservationSchedule(1.0, 25)
+        sample = simulate_path(ModelKind.SUPOU, LevySpec.from_moments(0.015, 0.003),
+                               PiSpec(4.0, -0.1), schedule, SimulationConfig(seed=6))
+        assert_array_equal([float(t) for t in times], schedule.times())
+        assert_array_equal(values, sample.values)
 
     def test_zero_observations_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,6 @@ from supou import (
     sample_acov,
     sample_mean,
     sample_var,
-    series_summary,
 )
 
 series = st.lists(
@@ -96,18 +95,6 @@ class TestDemean:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             demean([])
-
-
-class TestSeriesSummary:
-    def test_consistency(self):
-        x = np.random.default_rng(2).normal(size=500)
-        summary = series_summary(x, lags=range(0, 4))
-        assert summary.n == 500
-        assert summary.acf[0] == 1.0
-        for h in range(4):
-            assert_allclose(
-                summary.acf[h], summary.acov[h] / summary.acov[0], rtol=1e-14
-            )
 
 
 class TestNormalQqPoints:

@@ -24,10 +24,8 @@ from supou import (
     estimate_weighting,
     initial_estimate,
     minimize,
-    moment_function_int,
-    moment_function_supou,
-    moment_function_sv,
     objective,
+    quadrature_moments,
     sample_moments,
     simulate_path,
     supou_acf,
@@ -58,50 +56,53 @@ class TestMomentConditionSet:
         conds = MomentConditionSet(ModelKind.SUPOU, (1, 2, 4, 5))
         assert conds.m == 5 and conds.d == 6
         assert default_conditions(ModelKind.SV).lags == (1, 2, 3, 4, 5)
+        assert MomentConditionSet(ModelKind.SUPOU, (1.0, 2.0)).lags == (1, 2)
 
     def test_bad_lags(self):
-        for lags in [(), (2, 1), (0, 1), (1,)]:
+        for lags in [(), (2, 1), (0, 1), (1,), (1, 2.5)]:
             with pytest.raises(DomainError):
                 MomentConditionSet(ModelKind.SUPOU, lags)
 
 
 class TestMomentFunctions:
+    """sample_moments on one window of m+1 observations is the moment function."""
+
     def test_supou_at_stationary_mean(self):
         window = np.full(6, 0.05)
-        f = moment_function_supou(window, BETA, SUPOU_CONDS)
+        f = sample_moments(window, BETA, SUPOU_CONDS)
         assert_allclose(f[0], 0.0, atol=1e-15)
         assert_allclose(f[1], -0.005, rtol=1e-12)
 
     def test_supou_mean_component(self):
         window = np.full(6, 0.06)
-        f = moment_function_supou(window, BETA, SUPOU_CONDS)
+        f = sample_moments(window, BETA, SUPOU_CONDS)
         assert_allclose(f[0], 0.01, rtol=1e-12)
 
     def test_int_lag_component(self):
         window = np.full(6, 0.05)
-        f = moment_function_int(window, BETA, INT_CONDS)
+        f = sample_moments(window, BETA, INT_CONDS)
         assert_allclose(f[2], 0.0025 - 0.0025 - 0.003 / 0.792, rtol=1e-10)
 
     def test_int_var_without_sigma(self):
         # covariance terms vanish linearly with sigma2
         tiny = ParamVector(0.015, 1e-14, 4.0, -0.1)
         window = np.full(6, 0.07)
-        f = moment_function_int(window, tiny, INT_CONDS)
+        f = sample_moments(window, tiny, INT_CONDS)
         assert_allclose(f[1], 0.07**2 - 0.05**2, rtol=1e-9)
 
     def test_sv_mean_component_sign(self):
         window = np.zeros(6)
-        f = moment_function_sv(window, BETA, SV_CONDS)
+        f = sample_moments(window, BETA, SV_CONDS)
         assert_allclose(f[0], -0.05, rtol=1e-12)
 
     def test_sv_zero_at_matching_square(self):
         window = np.full(6, np.sqrt(0.05))
-        f = moment_function_sv(window, BETA, SV_CONDS)
+        f = sample_moments(window, BETA, SV_CONDS)
         assert_allclose(f[0], 0.0, atol=1e-15)
 
     def test_window_length_enforced(self):
         with pytest.raises(DataError):
-            moment_function_supou(np.zeros(4), BETA, SUPOU_CONDS)
+            sample_moments(np.zeros(4), BETA, SUPOU_CONDS)
 
     @pytest.mark.parametrize(
         "conds,kind",
@@ -109,12 +110,14 @@ class TestMomentFunctions:
          (SV_CONDS, ModelKind.SV)],
     )
     def test_expectation_zero_at_truth(self, conds, kind):
-        # substituting the model moments for the empirical products makes the
-        # analytic expectation of the moment function exactly zero
-        targets = _moment_targets(BETA, conds)
-        assert_array_equal(targets - _moment_targets(BETA, conds), np.zeros(conds.d))
-        g_at_truth = targets - _moment_targets(BETA, conds)
-        assert np.all(g_at_truth == 0.0)
+        # E g(window, beta) = 0 at the truth: the subtracted targets equal the
+        # expected products, computed here by the independent quadrature
+        # oracle, with E z^2 = var z + (E z)^2 (for SV, E Y^4 = var Y^2 + (E Y^2)^2)
+        for beta in (BETA, BETA_LONG, ParamVector(6.1e-6, 1.4e-9, 6.8, -0.0086)):
+            q = quadrature_moments(beta, kind, conds.delta, lags=conds.lags)
+            expected = [q.mean, q.var + q.mean**2]
+            expected += [q.mean**2 + q.acov[float(h)] for h in conds.lags]
+            assert_allclose(_moment_targets(beta, conds), expected, rtol=1e-10)
 
 
 class TestSampleMoments:
@@ -122,16 +125,19 @@ class TestSampleMoments:
         x = simulated_supou(seed=7, n_obs=400)
         g = sample_moments(x, BETA, SUPOU_CONDS)
         m = SUPOU_CONDS.m
-        windows = np.stack([x[i:i + m + 1] for i in range(len(x) - m)])
-        explicit = np.mean(
-            [moment_function_supou(w, BETA, SUPOU_CONDS) for w in windows], axis=0
-        )
+        products = [
+            [w[0], w[0] ** 2] + [w[0] * w[h] for h in SUPOU_CONDS.lags]
+            for w in (x[i:i + m + 1] for i in range(len(x) - m))
+        ]
+        explicit = np.mean(products, axis=0) - _moment_targets(BETA, SUPOU_CONDS)
         assert_allclose(g, explicit, rtol=1e-10, atol=1e-14)
 
     def test_single_window(self):
         x = np.arange(6.0) / 10.0 + 0.01
         g = sample_moments(x, BETA, SUPOU_CONDS)
-        assert_allclose(g, moment_function_supou(x, BETA, SUPOU_CONDS), rtol=1e-12)
+        products = [x[0], x[0] ** 2, x[0] * x[1], x[0] * x[2], x[0] * x[4], x[0] * x[5]]
+        assert_allclose(g, np.subtract(products, _moment_targets(BETA, SUPOU_CONDS)),
+                        rtol=1e-12)
 
     def test_small_at_truth_on_simulated_path(self):
         g = sample_moments(simulated_supou(), BETA, SUPOU_CONDS)
@@ -149,14 +155,6 @@ class TestObjective:
         value = objective(x, BETA, np.eye(6), SUPOU_CONDS)
         assert_allclose(value, float(g @ g), rtol=1e-14)
         assert value >= 0.0
-
-    def test_diagonal_quadratic_form(self):
-        # g = (1, 1), W = diag(2, 3) -> 5, checked through the public op by
-        # constructing data whose moment vector is known is awkward; check the
-        # quadratic form arithmetic directly instead
-        g = np.array([1.0, 1.0])
-        W = np.diag([2.0, 3.0])
-        assert float(g @ W @ g) == 5.0
 
     def test_scale_equivariance(self):
         x = simulated_supou(seed=3, n_obs=500)
@@ -200,7 +198,7 @@ class TestEstimateWeighting:
         # the rank-one outer product and inversion relies on the ridge
         x = np.full(50, 0.05)
         W = estimate_weighting(x, BETA, SUPOU_CONDS, ridge_scale=1e-6)
-        f = moment_function_supou(x[:6], BETA, SUPOU_CONDS)
+        f = sample_moments(x[:6], BETA, SUPOU_CONDS)
         S = np.outer(f, f) + 1e-6 * (f @ f) / 6 * np.eye(6)
         assert_allclose(np.linalg.inv(S), W, rtol=1e-6)
 

@@ -172,8 +172,13 @@ class TestIntegratedMoments:
             intsupou_var(BETA_SHORT, 0.0)
         with pytest.raises(DomainError):
             intsupou_acov(BETA_SHORT, 1.0, 0)
+        negative_mean = ParamVector(-0.01, 0.003, 4.0, -0.1)
         with pytest.raises(ParameterError):
-            intsupou_mean(ParamVector(-0.1, 0.003, 4.0, -0.1), 1.0)
+            intsupou_mean(negative_mean, 1.0)
+        with pytest.raises(ParameterError):
+            intsupou_var(negative_mean, 1.0)
+        with pytest.raises(ParameterError):
+            intsupou_acov(negative_mean, 1.0, 1)
 
 
 class TestLimitHandling:
@@ -274,6 +279,3 @@ class TestParamVector:
     def test_invariants_rejected(self, bad):
         with pytest.raises(ParameterError):
             ParamVector(**bad)
-
-    def test_roundtrip_array(self):
-        assert ParamVector.from_array(BETA_SHORT.as_array()) == BETA_SHORT

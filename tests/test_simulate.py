@@ -254,16 +254,6 @@ class TestTruncation:
 
 
 class TestPathSample:
-    def test_csv_roundtrip(self, tmp_path):
-        sched = ObservationSchedule(1.0, 25)
-        path = simulate_path(ModelKind.SUPOU, SPEC, PI, sched, SimulationConfig(seed=6))
-        out = tmp_path / "path.csv"
-        path.write_csv(out)
-        body = out.read_bytes().decode("utf-8").split("\r\n")
-        assert body[0] == "t,value"
-        values = np.array([float(line.split(",")[1]) for line in body[1:] if line])
-        assert_array_equal(values, path.values)
-
     def test_deterministic_per_seed_and_concurrent_seeding(self):
         sched = ObservationSchedule(1.0, 100)
         paths = [
