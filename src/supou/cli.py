@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +50,6 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 
 PARAM_NAMES = ("mu", "sigma2", "alpha_pi", "B")
-WORKERS_ENV = "SUPOU_WORKERS"
 HIST_BINS = 20
 # half-width of the uniform log-scale jitter around the truth that a
 # recovery study starts each path's estimation from
@@ -134,36 +134,19 @@ def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
     return (dates if dates else None), np.array(values)
 
 
-def _beta_from_args(args) -> ParamVector:
+def _model_from_args(args) -> Tuple[ParamVector, LevySpec]:
+    """Parameters and the compound Poisson spec with their (mu, sigma2)."""
     try:
-        return ParamVector(args.mu, args.sigma2, args.alpha_pi, args.B)
+        beta = ParamVector(args.mu, args.sigma2, args.alpha_pi, args.B)
+        return beta, LevySpec.from_moments(beta.mu, beta.sigma2, args.jump_shape)
     except ParameterError as exc:
         raise CliError(f"invalid parameters: {exc}") from exc
 
 
-def _levy_from_args(args, beta: ParamVector) -> LevySpec:
-    explicit = [args.levy_rate, args.jump_shape, args.jump_rate]
-    if any(v is not None for v in explicit):
-        if any(v is None for v in explicit):
-            raise CliError("--levy-rate, --jump-shape and --jump-rate must be given together")
-        spec = LevySpec(args.levy_rate, args.jump_shape, args.jump_rate)
-    else:
-        spec = LevySpec.from_moments(beta.mu, beta.sigma2)
-    mu, sigma2 = levy_moments(spec)
-    for name, derived, wanted in (("mu", mu, beta.mu), ("sigma2", sigma2, beta.sigma2)):
-        if abs(derived - wanted) > 1e-12 * max(abs(wanted), 1e-300):
-            raise CliError(
-                f"jump specification implies {name}={derived!r}, parameters say {wanted!r}"
-            )
-    return spec
-
-
 def _conditions_from_args(args, kind: ModelKind) -> MomentConditionSet:
-    if args.lags is not None:
-        return MomentConditionSet(kind=kind, lags=args.lags, delta=args.delta)
-    if args.m is not None:
-        return MomentConditionSet(kind=kind, lags=tuple(range(1, args.m + 1)), delta=args.delta)
-    return default_conditions(kind, delta=args.delta)
+    if args.lags is None:
+        return default_conditions(kind, delta=args.delta)
+    return MomentConditionSet(kind=kind, lags=args.lags, delta=args.delta)
 
 
 def _ensure_out_dir(args) -> str:
@@ -189,19 +172,14 @@ def _manifest(args, extra: Dict) -> Dict:
 
 def cmd_simulate(args) -> int:
     kind = ModelKind(args.model)
-    beta = _beta_from_args(args)
-    spec = _levy_from_args(args, beta)
+    beta, spec = _model_from_args(args)
     out_dir = _ensure_out_dir(args)
     schedule = ObservationSchedule(args.delta, args.n_obs)
     pi = PiSpec.from_params(beta)
 
     paths = []
     for p in range(args.n_paths):
-        config = SimulationConfig(
-            truncation_lead=args.truncation_lead,
-            euler_substeps=args.euler_substeps,
-            seed=args.seed + p,
-        )
+        config = SimulationConfig(truncation_lead=args.truncation_lead, seed=args.seed + p)
         sample = simulate_path(kind, spec, pi, schedule, config)
         filename = os.path.join(out_dir, f"path_{p:04d}.csv")
         _write_csv(filename, ["t", "value"],
@@ -225,13 +203,13 @@ def cmd_simulate(args) -> int:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _run_estimate(series: np.ndarray, conditions: MomentConditionSet) -> GmmResult:
-    """Cold-start two-step GMM on a series (SV returns are demeaned first)."""
-    kind = conditions.kind
-    data = demean(series) if kind is ModelKind.SV else series
+def _run_estimate(data: np.ndarray, conditions: MomentConditionSet) -> GmmResult:
+    """Cold-start two-step GMM on the estimation series (SV returns demeaned)."""
     try:
-        return two_step_gmm(data, kind, conditions=conditions)
-    except (InitializationError, DataError, ParameterError) as exc:
+        return two_step_gmm(data, conditions.kind, conditions=conditions)
+    except DataError as exc:
+        raise CliError(f"estimation failed: {exc}") from exc
+    except (InitializationError, ParameterError) as exc:
         raise CliError(f"estimation failed: {exc}", code=EXIT_NONCONVERGED) from exc
 
 
@@ -240,7 +218,7 @@ def cmd_estimate(args) -> int:
     _, series = read_series(args.input)
     conditions = _conditions_from_args(args, kind)
     out_dir = _ensure_out_dir(args)
-    result = _run_estimate(series, conditions)
+    result = _run_estimate(demean(series) if kind is ModelKind.SV else series, conditions)
 
     payload = result.to_dict(annualize_factor=args.annualize_factor)
     _write_json(os.path.join(out_dir, "estimate.json"), payload)
@@ -259,63 +237,40 @@ def cmd_estimate(args) -> int:
 # study
 # ---------------------------------------------------------------------------
 
-def _study_one_path(task: Dict) -> Dict:
+def _study_one_path(kind: ModelKind, beta_true: ParamVector, spec: LevySpec,
+                    schedule: ObservationSchedule, conditions: MomentConditionSet,
+                    truncation_lead: float, index: int, seed: int) -> Dict:
     """One simulate-then-estimate replication; module-level for pickling."""
-    beta_true = ParamVector(*task["beta"])
-    kind = ModelKind(task["kind"])
-    spec = LevySpec(*task["levy"])
-    schedule = ObservationSchedule(task["delta"], task["n_obs"])
-    path_seed = task["seed"]
-    sim_config = SimulationConfig(
-        truncation_lead=task["truncation_lead"],
-        euler_substeps=task["euler_substeps"],
-        seed=path_seed,
-    )
+    sim_config = SimulationConfig(truncation_lead=truncation_lead, seed=seed)
     sample = simulate_path(kind, spec, PiSpec.from_params(beta_true), schedule, sim_config)
 
-    conditions = MomentConditionSet(kind=kind, lags=tuple(task["lags"]), delta=task["delta"])
     # start in a log-scale neighbourhood of the truth, as in a recovery study
-    start_rng = np.random.default_rng(np.random.SeedSequence(path_seed, spawn_key=(2,)))
+    start_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
     theta0 = transform(beta_true) + start_rng.uniform(-START_JITTER, START_JITTER, size=4)
     data = demean(sample.values) if kind is ModelKind.SV else sample.values
     result = two_step_gmm(data, kind, conditions=conditions, start=untransform(theta0))
-    record = {"path": task["index"], "seed": path_seed}
+    record = {"path": index, "seed": seed}
     record.update(result.to_dict())
     return record
 
 
 def cmd_study(args) -> int:
     kind = ModelKind(args.model)
-    beta = _beta_from_args(args)
-    spec = _levy_from_args(args, beta)
+    beta, spec = _model_from_args(args)
     conditions = _conditions_from_args(args, kind)
     out_dir = _ensure_out_dir(args)
-    workers = args.workers if args.workers is not None else int(
-        os.environ.get(WORKERS_ENV, "1")
-    )
 
-    tasks = [
-        {
-            "index": p,
-            "seed": args.seed + p,
-            "kind": kind.value,
-            "beta": (beta.mu, beta.sigma2, beta.alpha_pi, beta.B),
-            "levy": (spec.rate, spec.jump_shape, spec.jump_rate),
-            "delta": args.delta,
-            "n_obs": args.n_obs,
-            "lags": list(conditions.lags),
-            "truncation_lead": args.truncation_lead,
-            "euler_substeps": args.euler_substeps,
-        }
-        for p in range(args.n_paths)
-    ]
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_study_one_path, tasks, chunksize=1))
+    one_path = partial(_study_one_path, kind, beta, spec,
+                       ObservationSchedule(args.delta, args.n_obs), conditions,
+                       args.truncation_lead)
+    indices = range(args.n_paths)
+    seeds = range(args.seed, args.seed + args.n_paths)
+    # both maps return the records in path order
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            records = list(pool.map(one_path, indices, seeds, chunksize=1))
     else:
-        records = [_study_one_path(task) for task in tasks]
-    records.sort(key=lambda rec: rec["path"])
+        records = list(map(one_path, indices, seeds))
 
     with open(os.path.join(out_dir, "results.jsonl"), "w", encoding="utf-8", newline="") as fh:
         for record in records:
@@ -377,7 +332,7 @@ def cmd_study(args) -> int:
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     _write_json(
         os.path.join(out_dir, "manifest.json"),
-        _manifest(args, {"command": "study", "workers_resolved": workers}),
+        _manifest(args, {"command": "study"}),
     )
     logger.info(
         "study complete: %d/%d paths converged in step 2",
@@ -426,7 +381,7 @@ def cmd_fit(args) -> int:
         [[label, _fmt(value)] for label, value in rows],
     )
 
-    result = _run_estimate(series, _conditions_from_args(args, kind))
+    result = _run_estimate(fitted, _conditions_from_args(args, kind))
 
     # empirical curves are for the estimation series (squared returns for SV)
     target = fitted * fitted if kind is ModelKind.SV else fitted
@@ -468,17 +423,15 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma2", type=float, default=0.003)
     parser.add_argument("--alpha-pi", type=float, default=4.0, dest="alpha_pi")
     parser.add_argument("--B", type=float, default=-0.1)
-    parser.add_argument("--levy-rate", type=float, default=None,
-                        help="compound Poisson intensity (default: derived from mu, sigma2)")
-    parser.add_argument("--jump-shape", type=float, default=None)
-    parser.add_argument("--jump-rate", type=float, default=None)
+    parser.add_argument("--jump-shape", type=float, default=3.0,
+                        help="Gamma jump shape; the compound Poisson rate and the "
+                             "jump rate follow from mu and sigma2")
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n-obs", type=_positive_int, default=10_000)
     parser.add_argument("--truncation-lead", type=float, default=2000.0)
-    parser.add_argument("--euler-substeps", type=_positive_int, default=20)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, model_default: str) -> None:
@@ -491,8 +444,10 @@ def _add_common_flags(parser: argparse.ArgumentParser, model_default: str) -> No
 def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lags", type=_lag_list, default=None,
                         help="comma-separated lag set, e.g. 1,2,4,5")
-    parser.add_argument("--m", type=_positive_int, default=None,
-                        help="use lags 1..m (ignored when --lags is given)")
+
+
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True)
     parser.add_argument("--annualize-factor", type=float, default=None)
 
 
@@ -514,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = commands.add_parser("estimate", help="two-step GMM on one series")
     _add_common_flags(est, "supou")
     _add_estimation_flags(est)
-    est.add_argument("--input", required=True)
+    _add_input_flags(est)
     est.set_defaults(func=cmd_estimate)
 
     study = commands.add_parser("study", help="simulate-and-estimate recovery study")
@@ -523,14 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_flags(study)
     _add_estimation_flags(study)
     study.add_argument("--n-paths", type=_positive_int, default=100)
-    study.add_argument("--workers", type=_positive_int, default=None,
-                       help=f"parallel workers (default: ${WORKERS_ENV} or 1)")
+    study.add_argument("--workers", type=_positive_int, default=1,
+                       help="parallel worker processes")
     study.set_defaults(func=cmd_study)
 
     fit = commands.add_parser("fit", help="fit empirical data and compare acfs")
     _add_common_flags(fit, "sv")
     _add_estimation_flags(fit)
-    fit.add_argument("--input", required=True)
+    _add_input_flags(fit)
     mode = fit.add_mutually_exclusive_group(required=True)
     mode.add_argument("--prices", action="store_true",
                       help="input holds prices; log returns are taken first")

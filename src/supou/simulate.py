@@ -45,6 +45,9 @@ LOG_CUTOFF = 750.0
 
 _TIME_CHUNK = 2048
 
+# Euler substeps per observation interval of the SV log returns
+_EULER_SUBSTEPS = 20
+
 JumpSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
@@ -78,6 +81,8 @@ class LevySpec:
         """
         if mu <= 0.0 or sigma2 <= 0.0:
             raise ParameterError("mu and sigma2 must be > 0 to derive a jump spec")
+        if not (math.isfinite(jump_shape) and jump_shape > 0.0):
+            raise ParameterError(f"jump_shape must be > 0, got {jump_shape}")
         jump_rate = (jump_shape + 1.0) * mu / sigma2
         rate = mu * jump_rate / jump_shape
         return cls(rate=rate, jump_shape=jump_shape, jump_rate=jump_rate)
@@ -95,17 +100,14 @@ def levy_moments(spec: LevySpec) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Simulation controls: burn-in window, Euler substeps and master seed."""
+    """Simulation controls: burn-in window and master seed."""
 
     truncation_lead: float = 2000.0
-    euler_substeps: int = 20
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.truncation_lead) and self.truncation_lead > 0.0):
             raise DomainError(f"truncation_lead must be > 0, got {self.truncation_lead}")
-        if self.euler_substeps < 1:
-            raise DomainError(f"euler_substeps must be >= 1, got {self.euler_substeps}")
 
 
 @dataclass(frozen=True)
@@ -295,17 +297,17 @@ def simulate_sv_logreturns(
     """Euler-discretized log returns with the supOU process as volatility.
 
     The volatility is evaluated exactly (from the jump stream) at the left
-    endpoint of each of the euler_substeps subintervals per observation
+    endpoint of each of the _EULER_SUBSTEPS subintervals per observation
     interval; the Brownian increments come from a substream of config.seed
     that is independent of the jump draws.
     """
-    n_sub = schedule.n_obs * config.euler_substeps
-    dt = schedule.delta / config.euler_substeps
+    n_sub = schedule.n_obs * _EULER_SUBSTEPS
+    dt = schedule.delta / _EULER_SUBSTEPS
     sub_times = dt * np.arange(n_sub)
     vol = evaluate_supou(jumps, sub_times)
     shocks = _brownian_rng(config.seed).standard_normal(n_sub)
     increments = np.sqrt(vol) * math.sqrt(dt) * shocks
-    returns = increments.reshape(schedule.n_obs, config.euler_substeps).sum(axis=1)
+    returns = increments.reshape(schedule.n_obs, _EULER_SUBSTEPS).sum(axis=1)
     return PathSample(schedule, returns)
 
 

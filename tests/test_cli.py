@@ -35,7 +35,6 @@ class TestSimulate:
         assert_allclose([levy["mu"], levy["sigma2"]], [0.015, 0.003], rtol=1e-12)
         cfg = manifest["config"]
         assert cfg["truncation_lead"] == 2000.0
-        assert cfg["euler_substeps"] == 20
         assert cfg["delta"] == 1.0
         assert (out / "path_0000.csv").exists()
 
@@ -63,19 +62,18 @@ class TestSimulate:
             run(["simulate", "--n-obs", 0, "--out-dir", tmp_path])
         assert exc.value.code == 2
 
-    def test_levy_mismatch_exit_2(self, tmp_path):
-        code = run([
-            "simulate", "--n-obs", 10, "--out-dir", tmp_path / "x",
-            "--levy-rate", 0.2, "--jump-shape", 3.0, "--jump-rate", 20.0,
-        ])
-        assert code == 2
+    def test_jump_shape_keeps_levy_moments(self, tmp_path):
+        base, shaped = tmp_path / "base", tmp_path / "shaped"
+        assert run(["simulate", "--n-obs", 50, "--seed", 1, "--out-dir", base]) == 0
+        assert run(["simulate", "--n-obs", 50, "--seed", 1, "--jump-shape", 2,
+                    "--out-dir", shaped]) == 0
+        levy = json.loads((shaped / "manifest.json").read_text())["derived_levy_moments"]
+        assert_allclose([levy["mu"], levy["sigma2"]], [0.015, 0.003], rtol=1e-12)
+        assert read(base / "path_0000.csv") != read(shaped / "path_0000.csv")
 
-    def test_explicit_matching_levy_ok(self, tmp_path):
-        code = run([
-            "simulate", "--n-obs", 10, "--out-dir", tmp_path / "y",
-            "--levy-rate", 0.1, "--jump-shape", 3.0, "--jump-rate", 20.0,
-        ])
-        assert code == 0
+    def test_nonpositive_jump_shape_exit_2(self, tmp_path):
+        assert run(["simulate", "--n-obs", 10, "--jump-shape", 0,
+                    "--out-dir", tmp_path / "x"]) == 2
 
 
 class TestEstimate:
@@ -113,13 +111,12 @@ class TestEstimate:
         sim = tmp_path / "sim"
         assert run(["simulate", "--n-obs", 2500, "--seed", 8, "--out-dir", sim]) == 0
         src = sim / "path_0000.csv"
-        for out, flags in ((tmp_path / "a", ["--lags", "1,2,3"]),
-                           (tmp_path / "b", ["--m", 3])):
-            code = run(["estimate", "--input", src, "--out-dir", out, *flags])
-            assert code in (0, 3)
-            result = json.loads((out / "estimate.json").read_text())
-            assert result["lags"] == [1, 2, 3]
-            assert result["n_used"] == 2500 - 3
+        out = tmp_path / "est"
+        code = run(["estimate", "--input", src, "--out-dir", out, "--lags", "1,2,3"])
+        assert code in (0, 3)
+        result = json.loads((out / "estimate.json").read_text())
+        assert result["lags"] == [1, 2, 3]
+        assert result["n_used"] == 2500 - 3
 
     def test_date_value_rows_accepted(self, tmp_path):
         sim = tmp_path / "sim"
@@ -169,25 +166,18 @@ class TestStudy:
         assert summary["model"] == "sv"
         assert summary["true_params"]["alpha_pi"] == 1.95
 
-    def test_env_variable_worker_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SUPOU_WORKERS", "2")
-        out = tmp_path / "env"
-        assert run(["study", "--model", "supou", "--n-obs", 600, "--n-paths", 2,
-                    "--seed", 2, "--out-dir", out]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["workers_resolved"] == 2
-
 
 class TestFit:
     def test_price_transform_and_degenerate_exit(self, tmp_path, capsys):
         prices = tmp_path / "prices.csv"
-        prices.write_text("\n".join(str(math.exp(k)) for k in range(4)) + "\n")
+        prices.write_text("\n".join(str(math.exp(k)) for k in range(10)) + "\n")
         out = tmp_path / "fit"
         code = run(["fit", "--prices", "--input", prices, "--out-dir", out])
         assert code == 3  # constant log returns cannot be fit
+        assert "degenerate series" in capsys.readouterr().err
         rows = (out / "series_used.csv").read_bytes().decode().strip().split("\r\n")[1:]
         values = [float(r.split(",")[1]) for r in rows]
-        assert_allclose(values, np.zeros(3), atol=1e-15)
+        assert_allclose(values, np.zeros(9), atol=1e-15)
 
     def test_nonpositive_price_exit_2(self, tmp_path):
         prices = tmp_path / "prices.csv"
@@ -226,6 +216,15 @@ class TestFit:
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--input", data, "--out-dir", tmp_path / "o"])
         assert exc.value.code == 2
+
+
+class TestShortInput:
+    @pytest.mark.parametrize("mode", [["estimate"], ["fit", "--returns"]])
+    def test_exit_2_names_the_length(self, tmp_path, capsys, mode):
+        data = tmp_path / "short.csv"
+        data.write_text("0.1\n0.3\n0.2\n0.4\n")
+        assert run([*mode, "--input", data, "--out-dir", tmp_path / "o"]) == 2
+        assert "got 4" in capsys.readouterr().err
 
 
 class TestNonFiniteInput:

@@ -13,6 +13,7 @@ from supou import (
     ModelKind,
     ObservationSchedule,
     ParamVector,
+    ParameterError,
     PiSpec,
     SimulationConfig,
     evaluate_supou,
@@ -65,6 +66,11 @@ class TestLevySpec:
         assert_allclose(spec.jump_rate, 20.0, rtol=1e-14)
         mu, sigma2 = levy_moments(spec)
         assert_allclose([mu, sigma2], [0.015, 0.003], rtol=1e-14)
+
+    @pytest.mark.parametrize("shape", [0.0, -0.5])
+    def test_from_moments_rejects_nonpositive_shape(self, shape):
+        with pytest.raises(ParameterError):
+            LevySpec.from_moments(0.015, 0.003, shape)
 
 
 class TestJumpStream:
