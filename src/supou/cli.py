@@ -217,8 +217,8 @@ def cmd_estimate(args) -> int:
     kind = ModelKind(args.model)
     _, series = read_series(args.input)
     conditions = _conditions_from_args(args, kind)
-    out_dir = _ensure_out_dir(args)
     result = _run_estimate(demean(series) if kind is ModelKind.SV else series, conditions)
+    out_dir = _ensure_out_dir(args)
 
     payload = result.to_dict(annualize_factor=args.annualize_factor)
     _write_json(os.path.join(out_dir, "estimate.json"), payload)
@@ -372,6 +372,8 @@ def cmd_fit(args) -> int:
     if series.size < 3:
         raise CliError("need at least 3 observations after differencing")
     fitted = demean(series) if kind is ModelKind.SV else series
+    # a failed estimation leaves no output directory behind
+    result = _run_estimate(fitted, _conditions_from_args(args, kind))
 
     out_dir = _ensure_out_dir(args)
     rows = zip(dates, fitted) if dates else ((i + 1, v) for i, v in enumerate(fitted))
@@ -380,8 +382,6 @@ def cmd_fit(args) -> int:
         ["date", "value"],
         [[label, _fmt(value)] for label, value in rows],
     )
-
-    result = _run_estimate(fitted, _conditions_from_args(args, kind))
 
     # empirical curves are for the estimation series (squared returns for SV)
     target = fitted * fitted if kind is ModelKind.SV else fitted

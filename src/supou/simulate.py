@@ -8,10 +8,10 @@ jump contributions
 each jump carrying its own mean-reversion rate A_i < 0 drawn from the
 mirrored-Gamma law.  Realizing the jump triples (tau_i, U_i, A_i) on a
 window that starts well before the observation horizon makes X, its
-interval integrals and the Euler-discretized SV log returns all computable
-from the same stream: X and the integrals in closed form per jump (no time
-discretization), the log returns with exact volatility values at the Euler
-substeps.
+interval integrals V_n and the SV log returns all computable from the same
+stream without time discretization: X and V_n in closed form per jump, and
+the log returns as sqrt(V_n) Z_n with independent standard normal Z_n,
+which is their exact law given X.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ __all__ = [
 LOG_CUTOFF = 750.0
 
 _TIME_CHUNK = 2048
-
-# Euler substeps per observation interval of the SV log returns
-_EULER_SUBSTEPS = 20
 
 JumpSampler = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -294,21 +291,15 @@ def simulate_sv_logreturns(
     schedule: ObservationSchedule,
     config: SimulationConfig,
 ) -> PathSample:
-    """Euler-discretized log returns with the supOU process as volatility.
+    """Log returns Y_n = sqrt(V_n) Z_n with the supOU process as volatility.
 
-    The volatility is evaluated exactly (from the jump stream) at the left
-    endpoint of each of the _EULER_SUBSTEPS subintervals per observation
-    interval; the Brownian increments come from a substream of config.seed
-    that is independent of the jump draws.
+    Given the volatility path, the integral of sqrt(X) against an independent
+    Brownian motion over interval n is exactly N(0, V_n), with V_n from
+    `integrate_supou`; the Z_n come from a substream of config.seed that is
+    independent of the jump draws.
     """
-    n_sub = schedule.n_obs * _EULER_SUBSTEPS
-    dt = schedule.delta / _EULER_SUBSTEPS
-    sub_times = dt * np.arange(n_sub)
-    vol = evaluate_supou(jumps, sub_times)
-    shocks = _brownian_rng(config.seed).standard_normal(n_sub)
-    increments = np.sqrt(vol) * math.sqrt(dt) * shocks
-    returns = increments.reshape(schedule.n_obs, _EULER_SUBSTEPS).sum(axis=1)
-    return PathSample(schedule, returns)
+    shocks = _brownian_rng(config.seed).standard_normal(schedule.n_obs)
+    return PathSample(schedule, np.sqrt(integrate_supou(jumps, schedule).values) * shocks)
 
 
 def simulate_path(

@@ -169,15 +169,24 @@ class TestStudy:
 
 class TestFit:
     def test_price_transform_and_degenerate_exit(self, tmp_path, capsys):
+        y = simulate_path(ModelKind.SV, LevySpec(0.1, 3.0, 20.0), PiSpec(4.0, -0.1),
+                          ObservationSchedule(1.0, 2000), SimulationConfig(seed=6)).values
+        price_values = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(y)]))
         prices = tmp_path / "prices.csv"
-        prices.write_text("\n".join(str(math.exp(k)) for k in range(10)) + "\n")
+        prices.write_text("\n".join(f"{p:.17g}" for p in price_values) + "\n")
         out = tmp_path / "fit"
-        code = run(["fit", "--prices", "--input", prices, "--out-dir", out])
-        assert code == 3  # constant log returns cannot be fit
-        assert "degenerate series" in capsys.readouterr().err
+        assert run(["fit", "--prices", "--input", prices, "--out-dir", out]) == 0
         rows = (out / "series_used.csv").read_bytes().decode().strip().split("\r\n")[1:]
         values = [float(r.split(",")[1]) for r in rows]
-        assert_allclose(values, np.zeros(9), atol=1e-15)
+        returns = np.diff(np.log(price_values))
+        assert_array_equal(values, returns - returns.mean())
+
+        # constant log returns cannot be fit, and a failed fit writes nothing
+        prices.write_text("\n".join(str(math.exp(k)) for k in range(60)) + "\n")
+        out = tmp_path / "degenerate"
+        assert run(["fit", "--prices", "--input", prices, "--out-dir", out]) == 3
+        assert "degenerate series" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_price_exit_2(self, tmp_path):
         prices = tmp_path / "prices.csv"
@@ -225,6 +234,7 @@ class TestShortInput:
         data.write_text("0.1\n0.3\n0.2\n0.4\n")
         assert run([*mode, "--input", data, "--out-dir", tmp_path / "o"]) == 2
         assert "got 4" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestNonFiniteInput:

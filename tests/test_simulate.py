@@ -225,27 +225,16 @@ class TestSvReturns:
         b = simulate_path(ModelKind.SV, SPEC, PI, sched, SimulationConfig(seed=33))
         assert_array_equal(a.values, b.values)
 
-    def test_euler_refinement_within_noise(self):
-        # doubling the substeps on a common Brownian path changes the sample
-        # second moment by less than its Monte Carlo standard error: the
-        # discretization bias at 20 substeps is dominated by statistical noise
-        n_obs, fine_k = 10_000, 40
-        stream = sample_jump_stream(SPEC, PI, (-2000.0, float(n_obs)), seed=44)
-        dt = 1.0 / fine_k
-        fine_times = dt * np.arange(n_obs * fine_k)
-        vol = evaluate_supou(stream, fine_times)
-        shocks = np.random.default_rng(44).standard_normal(n_obs * fine_k)
-        incr_fine = np.sqrt(vol) * math.sqrt(dt) * shocks
-        y_fine = incr_fine.reshape(n_obs, fine_k).sum(axis=1)
-        # coarse scheme holds the volatility over pairs of fine substeps while
-        # consuming the same Brownian increments
-        pair_shocks = shocks.reshape(-1, 2).sum(axis=1)
-        incr_coarse = np.sqrt(vol[::2]) * math.sqrt(dt) * pair_shocks
-        y_coarse = incr_coarse.reshape(n_obs, fine_k // 2).sum(axis=1)
-        m_fine = (y_fine**2).mean()
-        m_coarse = (y_coarse**2).mean()
-        se = (y_coarse**2).std() / math.sqrt(n_obs)
-        assert abs(m_coarse - m_fine) <= se
+    def test_exact_given_volatility(self):
+        # given the jumps, Y_n = sqrt(V_n) Z_n with V_n the interval integrals
+        # and Z_n the seed's Brownian substream, bit for bit
+        sched = ObservationSchedule(1.0, 500)
+        stream = sample_jump_stream(SPEC, PI, (-2000.0, sched.horizon), seed=44)
+        sample = simulate_sv_logreturns(stream, sched, SimulationConfig(seed=44))
+        shocks = np.random.default_rng(
+            np.random.SeedSequence(44, spawn_key=(1,))).standard_normal(500)
+        expected = np.sqrt(integrate_supou(stream, sched).values) * shocks
+        assert_array_equal(sample.values, expected)
 
 
 class TestTruncation:
