@@ -110,6 +110,10 @@ def default_conditions(kind: ModelKind, delta: float = 1.0) -> MomentConditionSe
 # space that both steps search, which the consistency theory assumes anyway
 PARAMETER_BOX = 6.0
 
+# a fit that ends within this many log units of a face of the box stopped on
+# the box: trf only reports a bound as active within a relative xtol of it
+_EDGE_SLACK = 1e-3
+
 
 @dataclass(frozen=True)
 class GmmResult:
@@ -313,16 +317,17 @@ def minimize(residuals: Callable, theta0, center: np.ndarray) -> Tuple[np.ndarra
     One call of scipy's trust-region reflective least squares with
     three-point finite-difference Jacobians and default tolerances.  Returns
     the final theta and why the fit stopped: "at_box_edge" when any
-    coordinate ends on the box, else "max_evaluations" when the evaluation
-    budget ran out, else "converged".  Residuals that are not finite at a
-    trial point shrink the trust region; at the start they raise DomainError.
+    coordinate ends within _EDGE_SLACK of the box, else "max_evaluations"
+    when the evaluation budget ran out, else "converged".  Residuals that
+    are not finite at a trial point shrink the trust region; at the start
+    they raise DomainError.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if not np.all(np.isfinite(residuals(theta0))):
         raise DomainError("residuals must be finite at the starting point")
     fit = least_squares(residuals, theta0, jac="3-point", method="trf",
                         bounds=(center - PARAMETER_BOX, center + PARAMETER_BOX))
-    if np.any(fit.active_mask != 0):
+    if np.any(np.abs(fit.x - center) >= PARAMETER_BOX - _EDGE_SLACK):
         return fit.x, "at_box_edge"
     return fit.x, ("max_evaluations" if fit.status == 0 else "converged")
 

@@ -11,7 +11,9 @@ window that starts well before the observation horizon makes X, its
 interval integrals V_n and the SV log returns all computable from the same
 stream without time discretization: X and V_n in closed form per jump, and
 the log returns as sqrt(V_n) Z_n with independent standard normal Z_n,
-which is their exact law given X.
+which is their exact law given X.  The jump sums leave out only terms whose
+total is at most 1e-15 of the sum at every time, a bound relative to the
+sum that holds because every term is positive.
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ __all__ = [
     "simulate_path",
 ]
 
-# exp(x) underflows to exactly 0.0 in float64 below roughly -745; dropping a
-# jump once its exponent is under -LOG_CUTOFF therefore reproduces the full
-# sum value-for-value.
-LOG_CUTOFF = 750.0
+# Jumps dropped from a time chunk carry at most this fraction of the sum at
+# every time in the chunk (see _jump_sum).
+_REL_CUTOFF = 1e-15
 
-_TIME_CHUNK = 2048
+_TIME_CHUNK = 512
 
 JumpSampler = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -227,36 +228,48 @@ def _check_times_in_window(t: np.ndarray, jumps: JumpStream) -> None:
 def _jump_sum(jumps: JumpStream, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Sum of w_i exp(A_i (t - tau_i)) over jumps with tau_i <= t, at each time t.
 
-    The one dense kernel: times are processed in chunks against the jumps
-    still alive at the chunk start.  The only terms skipped are those whose
-    exponentials underflow to 0.0 in float64 anyway.
+    The one dense kernel, for positive weights: times are processed in chunks
+    [t0, t1].  The jumps born by t0 give a floor L = sum of w_i exp(A_i (t1 -
+    tau_i)) on the whole chunk, since every term is positive and decreasing:
+    L <= S(t), the full sum, for every t in [t0, t1].  The smallest of those
+    jumps, ranked by their value at t0, are dropped while their summed value
+    at t0 stays <= _REL_CUTOFF * L, so the dropped mass is at most
+    _REL_CUTOFF * S(t) at every t of the chunk.
     """
     out = np.zeros(t.size)
     if len(jumps) == 0 or t.size == 0:
         return out
 
     tau, rates = jumps.times, jumps.rates
-    expiry = tau + LOG_CUTOFF / (-rates)
     for i0 in range(0, t.size, _TIME_CHUNK):
         tc = t[i0:i0 + _TIME_CHUNK]
-        hi = int(np.searchsorted(tau, tc[-1], side="right"))
-        if hi == 0:
-            continue
-        live = expiry[:hi] >= tc[0]
-        if not live.any():
-            continue
-        tau_l, w_l, rate_l = tau[:hi][live], weights[:hi][live], rates[:hi][live]
-        dt = tc[:, None] - tau_l[None, :]
-        exponent = np.where(dt >= 0.0, rate_l[None, :] * dt, -np.inf)
-        out[i0:i0 + tc.size] = np.exp(exponent) @ w_l
+        t0, t1 = tc[0], tc[-1]
+        old = int(np.searchsorted(tau, t0, side="right"))
+        hi = int(np.searchsorted(tau, t1, side="right"))
+        if old:
+            # terms at t0; the chunk's values are these times exp(A (t - t0))
+            at_t0 = weights[:old] * np.exp(rates[:old] * (t0 - tau[:old]))
+            floor = at_t0 @ np.exp(rates[:old] * (t1 - t0))
+            ranked = np.sort(at_t0)
+            dropped = int(np.searchsorted(np.cumsum(ranked), _REL_CUTOFF * floor,
+                                          side="right"))
+            if dropped < old:
+                # ties with the smallest kept value are kept too
+                keep = at_t0 >= ranked[dropped]
+                out[i0:i0 + tc.size] = (np.exp(np.outer(tc - t0, rates[:old][keep]))
+                                        @ at_t0[keep])
+        if hi > old:
+            dt = tc[:, None] - tau[None, old:hi]
+            exponent = np.where(dt >= 0.0, rates[None, old:hi] * dt, -np.inf)
+            out[i0:i0 + tc.size] += np.exp(exponent) @ weights[old:hi]
     return out
 
 
 def evaluate_supou(jumps: JumpStream, times) -> np.ndarray:
     """Evaluate X(t) = sum of U_i exp(A_i (t - tau_i)) over jumps with tau_i <= t.
 
-    Exact for the realized stream: the only terms skipped are those whose
-    exponentials underflow to 0.0 in float64 anyway.  Times must be
+    Exact for the realized stream up to a relative 1e-15: the terms skipped
+    sum to at most 1e-15 * X(t) at every t (see `_jump_sum`).  Times must be
     nondecreasing and inside the stream window.
     """
     t = np.ascontiguousarray(times, dtype=float)

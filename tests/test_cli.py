@@ -11,10 +11,14 @@ from supou import (
     LevySpec,
     ModelKind,
     ObservationSchedule,
+    ParamVector,
     PiSpec,
     SimulationConfig,
+    integrate_supou,
+    sample_jump_stream,
     simulate_path,
 )
+from supou.gmm import PARAMETER_BOX
 from supou.cli import main, read_series
 
 
@@ -187,6 +191,28 @@ class TestFit:
         assert run(["fit", "--prices", "--input", prices, "--out-dir", out]) == 3
         assert "degenerate series" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fit_ending_on_box_face_exits_3(self, tmp_path):
+        # first 2,000 prices of a 10^5-day series at the paper's empirical SV
+        # estimate (jump seed 2, shocks from default_rng([7, 2])); step 2 ends
+        # within 3e-6 of the lower face of log(-B), which trf does not flag
+        beta = ParamVector(6.1e-6, 1.4e-9, 6.8, -0.0086)
+        schedule = ObservationSchedule(1.0, 100_000)
+        jumps = sample_jump_stream(LevySpec.from_moments(beta.mu, beta.sigma2),
+                                   PiSpec.from_params(beta), (-2000.0, schedule.horizon), 2)
+        v = integrate_supou(jumps, schedule).values[:1999]
+        z = np.random.default_rng([7, 2]).standard_normal(schedule.n_obs)[:1999]
+        price_values = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(np.sqrt(v) * z)]))
+        prices = tmp_path / "prices.csv"
+        prices.write_text("\n".join(repr(p) for p in price_values.tolist()) + "\n")
+        out = tmp_path / "fit"
+        assert run(["fit", "--prices", "--input", prices, "--out-dir", out]) == 3
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["step2_stop"] == "at_box_edge"
+        assert not fit["converged_step2"]
+        # the crude start has B = -0.1, so the lower face is log(0.1) - PARAMETER_BOX
+        log_b = math.log(-fit["step2_estimate"]["B"])
+        assert 0.0 <= log_b - (math.log(0.1) - PARAMETER_BOX) < 1e-3
 
     def test_nonpositive_price_exit_2(self, tmp_path):
         prices = tmp_path / "prices.csv"

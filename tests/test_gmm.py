@@ -275,6 +275,23 @@ class TestMinimize:
         assert theta[1] == pytest.approx(PARAMETER_BOX)
         assert np.abs(np.delete(theta - target, 1)).max() < 1e-8
 
+    def test_flat_ridge_toward_face_stops_at_edge(self):
+        # the criterion keeps falling toward the lower face of coordinate 0 but
+        # flattens, as along the OU-limit ridge in B, so trf stops just short
+        # of the face, outside its active-bound tolerance
+        def ridge(th):
+            return np.array([1.0 + 1e-2 * np.exp(th[0]), th[1], th[2], th[3]])
+
+        theta, stop = minimize(ridge, np.zeros(4), BOX_CENTER)
+        assert theta[0] + PARAMETER_BOX < 1e-3
+        assert stop == "at_box_edge"
+
+    def test_minimum_just_inside_box_converges(self):
+        target = np.array([0.0, 0.01 - PARAMETER_BOX, 0.0, 0.0])
+        theta, stop = minimize(lambda th: th - target, np.zeros(4), BOX_CENTER)
+        assert stop == "converged"
+        assert_allclose(theta, target, atol=1e-8)
+
 
 class TestClosedFormInit:
     @pytest.mark.parametrize("beta", [BETA, BETA_LONG])

@@ -46,6 +46,31 @@ def empty_stream(window=(-1.0, 10.0)):
     return JumpStream(e, e.copy(), e.copy(), window[0], window[1])
 
 
+def dense_evaluate(stream, t, block=500):
+    """X(t) from every jump born by t, with no cutoff at all."""
+    out = np.empty(t.size)
+    for i in range(0, t.size, block):
+        dt = t[i:i + block, None] - stream.times[None, :]
+        terms = np.exp(stream.rates * np.maximum(dt, 0.0)) * stream.sizes
+        out[i:i + block] = np.where(dt >= 0.0, terms, 0.0).sum(axis=1)
+    return out
+
+
+def dense_integrate(stream, schedule, block=500):
+    """V_n from every jump born before the interval's end, with no cutoff."""
+    a_all = schedule.delta * np.arange(schedule.n_obs)
+    out = np.empty(schedule.n_obs)
+    for i in range(0, a_all.size, block):
+        a = a_all[i:i + block, None]
+        b = a + schedule.delta
+        lo = np.maximum(a, stream.times[None, :])
+        rates = stream.rates
+        terms = (stream.sizes / rates * np.exp(rates * (lo - stream.times))
+                 * np.expm1(rates * np.maximum(b - lo, 0.0)))
+        out[i:i + block] = np.where(stream.times < b, terms, 0.0).sum(axis=1)
+    return out
+
+
 class TestLevySpec:
     def test_paper_setup_moments(self):
         assert levy_moments(SPEC) == (0.015, 0.003)
@@ -143,6 +168,44 @@ class TestEvaluate:
             evaluate_supou(stream, [-1.0])
         with pytest.raises(DomainError):
             evaluate_supou(stream, [6.0])
+
+
+class TestKernelCutoff:
+    """The jump sums against dense all-jumps references."""
+
+    @pytest.mark.parametrize("alpha_pi", [1.1, 1.95, 4.0])
+    def test_matches_dense_reference(self, alpha_pi):
+        pi = PiSpec.from_params(ParamVector(0.015, 0.003, alpha_pi, -0.1))
+        sched = ObservationSchedule(1.0, 10_000)
+        stream = sample_jump_stream(SPEC, pi, (-2000.0, sched.horizon), seed=1)
+        x = evaluate_supou(stream, sched.times())
+        x_ref = dense_evaluate(stream, sched.times())
+        assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-12
+        v = integrate_supou(stream, sched).values
+        v_ref = dense_integrate(stream, sched)
+        assert np.max(np.abs(v - v_ref) / v_ref) <= 1e-12
+
+    def test_mixed_magnitudes(self):
+        # one old jump of size 1e12 among fast-decaying unit jumps: on [0, 100]
+        # its exponent lies in [-49.5, -45], far below e^-40 of its own size,
+        # yet between unit jumps it is most of the sum.  A cutoff on each
+        # jump's own exponent drops it; a cutoff relative to the sum keeps it.
+        unit_times = np.arange(5.0, 100.0, 15.0)
+        stream = JumpStream(
+            times=np.concatenate([[-1000.0], unit_times]),
+            sizes=np.concatenate([[1e12], np.ones(unit_times.size)]),
+            rates=np.concatenate([[-0.045], np.full(unit_times.size, -1.0)]),
+            window_start=-1000.0,
+            window_end=100.0,
+        )
+        t = np.linspace(0.0, 100.0, 2001)
+        x = evaluate_supou(stream, t)
+        x_ref = dense_evaluate(stream, t)
+        assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-12
+        sched = ObservationSchedule(0.5, 200)
+        v = integrate_supou(stream, sched).values
+        v_ref = dense_integrate(stream, sched)
+        assert np.max(np.abs(v - v_ref) / v_ref) <= 1e-12
 
 
 class TestIntegrate:
