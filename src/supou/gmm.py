@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 from .descriptive import sample_acf, sample_mean, sample_var
 from .errors import (
@@ -62,7 +62,8 @@ class MomentConditionSet:
     """Model kind, lag set and grid spacing defining the moment function.
 
     The moment dimension is d = 2 + len(lags); the window length is
-    m + 1 with m = max(lags).
+    m + 1 with m = max(lags).  At least two lags are required, so that the
+    d >= 4 moments can identify the four parameters.
     """
 
     kind: ModelKind
@@ -74,12 +75,10 @@ class MomentConditionSet:
             raise DomainError(f"lags must be integers, got {self.lags}")
         lags = tuple(int(h) for h in self.lags)
         object.__setattr__(self, "lags", lags)
-        if not lags or any(h < 1 for h in lags) or any(
-            b <= a for a, b in zip(lags, lags[1:])
-        ):
+        if any(h < 1 for h in lags) or any(b <= a for a, b in zip(lags, lags[1:])):
             raise DomainError(f"lags must be strictly increasing positive, got {self.lags}")
-        if lags[-1] < 2:
-            raise DomainError("the largest lag must be at least 2")
+        if len(lags) < 2:
+            raise DomainError(f"need at least two lags for four parameters, got {self.lags}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise DomainError(f"delta must be > 0, got {self.delta}")
 
@@ -342,10 +341,11 @@ def closed_form_init(sample_mean_value: float, sample_var_value: float,
     """Invert (mean, variance, rho(h1), rho(h2)) of a supOU process exactly.
 
     With c = log rho(h1) / log rho(h2), B is the unique negative root of
-    (1 - B h2)^c + B h1 - 1, isolated by bisection; then
+    (1 - B h2)^c + B h1 - 1, found by Brent's method on a bracket that is
+    doubled until it holds a sign change; then
     alpha_pi = 1 - log rho(h1) / log(1 - B h1) and mu, sigma2 follow from
     the mean and variance equations.  Exact model moments are recovered to
-    bisection tolerance.
+    the root finder's relative tolerance.
     """
     if not (0.0 < h1 < h2):
         raise InitializationError(f"need 0 < h1 < h2, got {h1}, {h2}")
@@ -373,16 +373,7 @@ def closed_form_init(sample_mean_value: float, sample_var_value: float,
         lo *= 2.0
         if lo < -1e12:
             raise InitializationError("root bracketing failed")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-16 * abs(mid):
-            break
-    B = 0.5 * (lo + hi)
+    B = brentq(excess, lo, hi, xtol=1e-300)
 
     alpha_pi = 1.0 - math.log(rho_h1) / math.log1p(-B * h1)
     if alpha_pi <= 1.0:

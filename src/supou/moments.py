@@ -56,6 +56,9 @@ __all__ = [
 # |alpha_pi - k| below this switches the integrated formulas to their limits
 LIMIT_TOL = 1e-8
 
+# relative tolerance of the quadrature oracle
+_QUAD_REL_TOL = 1e-11
+
 ArrayLike = Union[float, np.ndarray]
 
 
@@ -199,12 +202,7 @@ class MomentSet:
     acov: Dict[float, float]
 
 
-def gamma_mix_integral(
-    kernel: Callable[[float], float],
-    alpha_pi: float,
-    B: float,
-    rel_tol: float = 1e-11,
-) -> float:
+def gamma_mix_integral(kernel: Callable[[float], float], alpha_pi: float, B: float) -> float:
     """Integrate kernel(A) against the mirrored-Gamma law of A = B*R.
 
     Evaluates integral_0^inf kernel(B r) r^(alpha-1) e^(-r) / Gamma(alpha) dr
@@ -213,7 +211,8 @@ def gamma_mix_integral(
     mode, whose narrow peak a quadrature of the whole infinite tail can miss
     entirely for large alpha.
 
-    Raises QuadratureError when the reported error exceeds the tolerance.
+    Raises QuadratureError when the reported error exceeds 100 times the
+    relative tolerance _QUAD_REL_TOL.
     """
     log_norm = gammaln(alpha_pi)
 
@@ -223,10 +222,10 @@ def gamma_mix_integral(
     edges = (0.0, 1.0, max(alpha_pi, 1.0), np.inf)
     value = err = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        v, e = quad(integrand, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=400)
+        v, e = quad(integrand, lo, hi, epsabs=0.0, epsrel=_QUAD_REL_TOL, limit=400)
         value += v
         err += e
-    if not math.isfinite(value) or err > 100.0 * rel_tol * max(abs(value), 1e-300):
+    if not math.isfinite(value) or err > 100.0 * _QUAD_REL_TOL * max(abs(value), 1e-300):
         raise QuadratureError(
             f"quadrature reached absolute error {err:.3e} for value {value:.6e}"
         )
@@ -254,7 +253,6 @@ def quadrature_moments(
     kind: ModelKind,
     delta: float = 1.0,
     lags: Sequence[float] = (),
-    rel_tol: float = 1e-11,
 ) -> MomentSet:
     """Evaluate the mixture-integral moment forms numerically.
 
@@ -265,7 +263,7 @@ def quadrature_moments(
     a, B = beta.alpha_pi, beta.B
 
     def mix(kernel: Callable[[float], float]) -> float:
-        return gamma_mix_integral(kernel, a, B, rel_tol=rel_tol)
+        return gamma_mix_integral(kernel, a, B)
 
     if kind is ModelKind.SUPOU:
         mean = -beta.mu * mix(lambda x: 1.0 / x)

@@ -11,16 +11,17 @@ window that starts well before the observation horizon makes X, its
 interval integrals V_n and the SV log returns all computable from the same
 stream without time discretization: X and V_n in closed form per jump, and
 the log returns as sqrt(V_n) Z_n with independent standard normal Z_n,
-which is their exact law given X.  The jump sums leave out only terms whose
-total is at most 1e-15 of the sum at every time, a bound relative to the
-sum that holds because every term is positive.
+which is their exact law given X.  Jumps before the window are not drawn,
+which biases the start of a path low (see `SimulationConfig`).  The jump
+sums leave out only terms whose total is at most 1e-15 of the sum at every
+time, a bound relative to the sum that holds because every term is positive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -45,8 +46,6 @@ __all__ = [
 _REL_CUTOFF = 1e-15
 
 _TIME_CHUNK = 512
-
-JumpSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,14 @@ def levy_moments(spec: LevySpec) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Simulation controls: burn-in window and master seed."""
+    """Simulation controls: burn-in window and master seed.
+
+    Jumps born before -truncation_lead are never drawn, so a path starts
+    below stationarity: at time t >= 0 the missing jumps would carry a share
+    (1 - B (truncation_lead + t))^(1 - alpha_pi) of the stationary mean.  At
+    the default lead and B = -0.1 that share at t = 0 is 59% for
+    alpha_pi = 1.1, 7% for 1.5, 0.65% for 1.95 and 1.2e-7 for 4.
+    """
 
     truncation_lead: float = 2000.0
     seed: int = 0
@@ -174,14 +180,11 @@ def sample_jump_stream(
     pi: PiSpec,
     window: Tuple[float, float],
     seed: int,
-    jump_sampler: Optional[JumpSampler] = None,
 ) -> JumpStream:
     """Draw a compound-Poisson jump stream on the window.
 
     Arrivals are homogeneous Poisson with intensity spec.rate (exponential
-    inter-arrival gaps), jump sizes come from the Gamma law of `spec` unless
-    `jump_sampler(rng, n)` overrides them (the estimator is semiparametric,
-    so any positive law with the right first two moments is admissible), and
+    inter-arrival gaps), jump sizes come from the Gamma law of `spec`, and
     the mean-reversion rates are B * Gamma(alpha_pi, 1) draws.
 
     Deterministic given (spec, pi, window, seed).
@@ -205,10 +208,7 @@ def sample_jump_stream(
     arrivals = arrivals[arrivals <= span]
 
     n = arrivals.size
-    if jump_sampler is not None:
-        sizes = np.asarray(jump_sampler(rng, n), dtype=float)
-    else:
-        sizes = rng.gamma(spec.jump_shape, 1.0 / spec.jump_rate, size=n)
+    sizes = rng.gamma(spec.jump_shape, 1.0 / spec.jump_rate, size=n)
     rates = pi.B * rng.gamma(pi.alpha_pi, 1.0, size=n)
     return JumpStream(start + arrivals, sizes, rates, start, end)
 
@@ -321,11 +321,16 @@ def simulate_path(
     pi: PiSpec,
     schedule: ObservationSchedule,
     config: SimulationConfig,
-    jump_sampler: Optional[JumpSampler] = None,
 ) -> PathSample:
-    """Sample a jump stream on [-truncation_lead, horizon] and observe `kind` on it."""
+    """Sample a jump stream on [-truncation_lead, horizon] and observe `kind` on it.
+
+    Exact for that stream, which leaves out the jumps before
+    -truncation_lead: the path's mean falls short of the stationary mean by
+    the share given in `SimulationConfig`, largest at t = 0 and for
+    alpha_pi near 1.
+    """
     window = (-config.truncation_lead, schedule.horizon)
-    jumps = sample_jump_stream(spec, pi, window, config.seed, jump_sampler=jump_sampler)
+    jumps = sample_jump_stream(spec, pi, window, config.seed)
     if kind is ModelKind.SUPOU:
         return PathSample(schedule, evaluate_supou(jumps, schedule.times()))
     if kind is ModelKind.INTEGRATED:

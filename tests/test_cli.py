@@ -263,6 +263,22 @@ class TestShortInput:
         assert not (tmp_path / "o").exists()
 
 
+class TestUnidentifiedLags:
+    @pytest.mark.parametrize("lags, shown", [("5", "(5,)"), (",", "()")])
+    def test_exit_2_names_the_lags(self, tmp_path, capsys, lags, shown):
+        # one lag gives three moments for four parameters
+        data = tmp_path / "series.csv"
+        sample = simulate_path(ModelKind.SUPOU, LevySpec.from_moments(0.015, 0.003),
+                               PiSpec(1.95, -0.1), ObservationSchedule(1.0, 500),
+                               SimulationConfig(seed=3))
+        data.write_text("\n".join(map(repr, sample.values.tolist())) + "\n")
+        assert run(["estimate", "--input", data, "--lags", lags,
+                    "--out-dir", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert f"need at least two lags for four parameters, got {shown}" in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("mode", [["estimate"], ["fit", "--returns"], ["fit", "--prices"]])
     @pytest.mark.parametrize("token", ["nan", "inf"])

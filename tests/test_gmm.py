@@ -60,7 +60,7 @@ class TestMomentConditionSet:
         assert MomentConditionSet(ModelKind.SUPOU, (1.0, 2.0)).lags == (1, 2)
 
     def test_bad_lags(self):
-        for lags in [(), (2, 1), (0, 1), (1,), (1, 2.5)]:
+        for lags in [(), (2, 1), (0, 1), (1,), (5,), (1, 2.5)]:
             with pytest.raises(DomainError):
                 MomentConditionSet(ModelKind.SUPOU, lags)
 
@@ -294,7 +294,7 @@ class TestMinimize:
 
 
 class TestClosedFormInit:
-    @pytest.mark.parametrize("beta", [BETA, BETA_LONG])
+    @pytest.mark.parametrize("beta", [BETA, BETA_LONG, ParamVector(6.1e-6, 1.4e-9, 6.8, -0.0086)])
     def test_exact_recovery(self, beta):
         recovered = closed_form_init(
             supou_mean(beta),
@@ -457,22 +457,13 @@ class TestSvEstimation:
         assert abs(est.sigma2 / BETA.sigma2 - 1.0) < 0.6
 
     def test_robust_to_jump_law(self):
-        # lognormal jumps with the same first two moments: the estimator is
-        # semiparametric and should not care
-        mean_jump, second = 0.15, 0.03
-        sigma_ln = np.sqrt(np.log(second / mean_jump**2))
-        mu_ln = np.log(mean_jump) - 0.5 * sigma_ln**2
-
-        def lognormal_jumps(rng, n):
-            return rng.lognormal(mu_ln, sigma_ln, n)
-
-        from supou import sample_jump_stream, evaluate_supou
-
-        spec = LevySpec(0.1, 3.0, 20.0)
+        # exponential jumps (Gamma shape 1) with the same first two moments
+        # of the Levy process: the estimator is semiparametric and should
+        # not care
+        spec = LevySpec.from_moments(BETA.mu, BETA.sigma2, jump_shape=1.0)
         pi = PiSpec.from_params(BETA)
-        stream = sample_jump_stream(spec, pi, (-2000.0, 10_000.0), seed=31,
-                                    jump_sampler=lognormal_jumps)
-        x = evaluate_supou(stream, 1.0 * np.arange(1, 10_001))
+        sched = ObservationSchedule(1.0, 10_000)
+        x = simulate_path(ModelKind.SUPOU, spec, pi, sched, SimulationConfig(seed=31)).values
         res = two_step_gmm(x, ModelKind.SUPOU, start=BETA)
         est = res.step2_estimate
         assert abs(est.mu / BETA.mu - 1.0) < 0.25

@@ -1,5 +1,7 @@
 """The package's public surface: one list of names, kept in the submodules."""
 
+import inspect
+
 import supou
 from supou import descriptive, errors, gmm, moments, params, simulate
 
@@ -12,6 +14,14 @@ REMOVED = (
     "moment_function_sv",
     "SeriesSummary",
     "series_summary",
+)
+
+# parameters that only tests set, removed from the program
+REMOVED_PARAMETERS = (
+    (simulate.sample_jump_stream, "jump_sampler"),
+    (simulate.simulate_path, "jump_sampler"),
+    (moments.gamma_mix_integral, "rel_tol"),
+    (moments.quadrature_moments, "rel_tol"),
 )
 
 
@@ -29,3 +39,6 @@ def test_removed_names_are_gone():
         assert not hasattr(supou, name)
     assert not hasattr(supou.PathSample, "write_csv")
     assert not hasattr(supou.ParamVector, "from_array")
+    assert not hasattr(simulate, "JumpSampler")
+    for fn, parameter in REMOVED_PARAMETERS:
+        assert parameter not in inspect.signature(fn).parameters

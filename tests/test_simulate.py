@@ -120,12 +120,6 @@ class TestJumpStream:
         se = abs(BETA.B) * math.sqrt(BETA.alpha_pi) / math.sqrt(n)
         assert abs(stream.rates.mean() - BETA.B * BETA.alpha_pi) <= 4.0 * se
 
-    def test_custom_jump_sampler(self):
-        constant = lambda rng, n: np.full(n, 0.15)
-        stream = sample_jump_stream(SPEC, PI, (0.0, 1000.0), seed=1,
-                                    jump_sampler=constant)
-        assert np.all(stream.sizes == 0.15)
-
     def test_invariants_enforced(self):
         with pytest.raises(DomainError):
             JumpStream(np.array([1.0, 0.5]), np.ones(2), -np.ones(2), 0.0, 2.0)
