@@ -357,11 +357,10 @@ def cmd_fit(args) -> int:
     result = _run_estimate(fitted, _conditions_from_args(args, kind))
 
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = zip(dates, fitted) if dates else ((i + 1, v) for i, v in enumerate(fitted))
     _write_csv(
         os.path.join(args.out_dir, "series_used.csv"),
         ["date", "value"],
-        [[label, _fmt(value)] for label, value in rows],
+        zip(dates or range(1, fitted.size + 1), map("{:.17g}".format, fitted.tolist())),
     )
 
     # empirical curves are for the estimation series (squared returns for SV)

@@ -8,14 +8,16 @@ sample moments, first with the identity weighting, then with the inverse of
 the estimated moment covariance from step one.  With W = L L' the criterion
 is the sum of squares of L' g, so each step is one bounded nonlinear
 least-squares fit (scipy's trust-region reflective method) in log
-coordinates, inside a fixed log-scale box around the step-1 start.
+coordinates, inside a fixed log-scale box around the step-1 start.  The
+residuals' Jacobian -L' dtargets/dtheta is in closed form, like the moment
+targets themselves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -32,6 +34,7 @@ from .errors import (
 )
 from .moments import (
     _int_acov_units,
+    _int_unit_slopes,
     _int_var_unit,
     intsupou_mean,
     intsupou_var,
@@ -200,6 +203,44 @@ def _moment_targets(beta: ParamVector, conditions: MomentConditionSet) -> np.nda
     return out
 
 
+def _moment_jacobian(beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
+    """d x 4 Jacobian of `_moment_targets` in theta = `transform(beta)`.
+
+    The mean is proportional to mu / (-B (alpha_pi - 1)); every other target
+    is mean^2 plus sigma2 times a unit moment of (alpha_pi, B) alone (the SV
+    fourth moment is three times that), whose slopes `moments` has in closed
+    form.
+    """
+    kind, delta = conditions.kind, conditions.delta
+    lags = np.asarray(conditions.lags, dtype=float)
+    a, B = beta.alpha_pi, beta.B
+    # not through supou_mean: the benchmark's tracer counts its calls as
+    # criterion evaluations
+    mean = -beta.mu / (B * (a - 1.0))
+    if kind is ModelKind.SUPOU:
+        # var(X) times the unit moments (1, acf(h) ...)
+        scale = supou_var(beta)
+        Bh = B * delta * lags
+        log_w = np.log1p(-Bh)
+        acf = np.exp((1.0 - a) * log_w)
+        units = np.concatenate([[1.0], acf])
+        d_alpha = np.concatenate([[0.0], -(a - 1.0) * log_w * acf]) - units
+        d_B = np.concatenate([[0.0], (a - 1.0) * Bh / (1.0 - Bh) * acf]) - units
+    else:
+        mean *= delta
+        scale = beta.sigma2
+        units, d_alpha, d_B = _int_unit_slopes(a, B, delta, lags)
+    jac = np.empty((conditions.d, 4))
+    jac[0] = mean * np.array([1.0, 0.0, -1.0, -1.0])
+    jac[1:] = 2.0 * mean * jac[0]
+    jac[1:, 1] += scale * units
+    jac[1:, 2] += scale * d_alpha
+    jac[1:, 3] += scale * d_B
+    if kind is ModelKind.SV:
+        jac[1] *= 3.0
+    return jac
+
+
 def _moment_columns(z: np.ndarray, conditions: MomentConditionSet) -> np.ndarray:
     """(N-m) x d data products (z_t, z_t^2, z_t z_{t+h} ...), one row per window."""
     n = z.size - conditions.m
@@ -310,11 +351,13 @@ def untransform(theta) -> ParamVector:
 # bounded least squares
 # ---------------------------------------------------------------------------
 
-def minimize(residuals: Callable, theta0, center: np.ndarray) -> Tuple[np.ndarray, str]:
+def minimize(residuals: Callable, jac: Union[Callable, str], theta0,
+             center: np.ndarray) -> Tuple[np.ndarray, str]:
     """Minimize the sum of squared residuals inside center +/- PARAMETER_BOX.
 
-    One call of scipy's trust-region reflective least squares with
-    three-point finite-difference Jacobians and default tolerances.  Returns
+    One call of scipy's trust-region reflective least squares with default
+    tolerances; `jac` is the Jacobian of the residuals, as `least_squares`
+    takes it (a function of theta, or a finite-difference scheme).  Returns
     the final theta and why the fit stopped: "at_box_edge" when any
     coordinate ends within _EDGE_SLACK of the box, else "max_evaluations"
     when the evaluation budget ran out, else "converged".  Residuals that
@@ -324,7 +367,7 @@ def minimize(residuals: Callable, theta0, center: np.ndarray) -> Tuple[np.ndarra
     theta0 = np.asarray(theta0, dtype=float)
     if not np.all(np.isfinite(residuals(theta0))):
         raise DomainError("residuals must be finite at the starting point")
-    fit = least_squares(residuals, theta0, jac="3-point", method="trf",
+    fit = least_squares(residuals, theta0, jac=jac, method="trf",
                         bounds=(center - PARAMETER_BOX, center + PARAMETER_BOX))
     if np.any(np.abs(fit.x - center) >= PARAMETER_BOX - _EDGE_SLACK):
         return fit.x, "at_box_edge"
@@ -451,8 +494,10 @@ def initial_estimate(data, conditions: MomentConditionSet) -> ParamVector:
 # two-step procedure
 # ---------------------------------------------------------------------------
 
-def _residuals(base: np.ndarray, W: np.ndarray, conditions: MomentConditionSet) -> Callable:
-    # L' g with W = L L', so that the sum of squares is the criterion g' W g
+def _residuals(base: np.ndarray, W: np.ndarray,
+               conditions: MomentConditionSet) -> Tuple[Callable, Callable]:
+    # L' g with W = L L', so that the sum of squares is the criterion g' W g,
+    # and its Jacobian -L' dtargets/dtheta
     L = np.linalg.cholesky(W)
 
     def fn(theta: np.ndarray) -> np.ndarray:
@@ -462,7 +507,10 @@ def _residuals(base: np.ndarray, W: np.ndarray, conditions: MomentConditionSet) 
             return np.full(base.size, np.inf)
         return L.T @ g
 
-    return fn
+    def jac(theta: np.ndarray) -> np.ndarray:
+        return -L.T @ _moment_jacobian(untransform(theta), conditions)
+
+    return fn, jac
 
 
 def two_step_gmm(
@@ -496,11 +544,11 @@ def two_step_gmm(
         start = _moment_matched_start(data, conditions)
     center = transform(start)
 
-    theta1, stop1 = minimize(_residuals(base, np.eye(conditions.d), conditions), center, center)
+    theta1, stop1 = minimize(*_residuals(base, np.eye(conditions.d), conditions), center, center)
     beta1 = untransform(theta1)
 
     weighting = estimate_weighting(data, beta1, conditions)
-    theta2, stop2 = minimize(_residuals(base, weighting, conditions), theta1, center)
+    theta2, stop2 = minimize(*_residuals(base, weighting, conditions), theta1, center)
     beta2 = untransform(theta2)
 
     # the values of `objective` (identity weighting in step 1), without

@@ -20,19 +20,20 @@ All closed forms:
                  cov(Y^2_1, Y^2_{1+h}) = cov(V_1, V_{1+h})
 
 with a = alpha_pi and d = delta.  The integrated formulas are 0/0 at
-a in {2, 3}; there the analytic limits (which involve log(1 - B d h)
-terms) are used instead.
+a in {2, 3} and cancel near there; within NEAR_SINGULAR of those points
+they are evaluated in partial fractions instead (see `_partial_fractions`),
+which contain the analytic limits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import exprel, gammaln
 
 from .errors import DomainError, ParameterError, QuadratureError
 from .params import ModelKind, ParamVector
@@ -53,8 +54,9 @@ __all__ = [
     "quadrature_moments",
 ]
 
-# |alpha_pi - k| below this switches the integrated formulas to their limits
-LIMIT_TOL = 1e-8
+# |alpha_pi - k| below this evaluates the integrated formulas in partial
+# fractions: at 1e-6 from k the closed forms lose 5 digits to cancellation
+NEAR_SINGULAR = 0.1
 
 # relative tolerance of the quadrature oracle
 _QUAD_REL_TOL = 1e-11
@@ -111,18 +113,27 @@ def intsupou_mean(beta: ParamVector, delta: float) -> float:
     return delta * supou_mean(beta)
 
 
+def _near_singular(alpha: float) -> bool:
+    return min(abs(alpha - 2.0), abs(alpha - 3.0)) < NEAR_SINGULAR
+
+
+def _partial_fractions(alpha: float, L, w):
+    # (w^(3-a) - 1 - (3-a)(w-1)) / ((a-2)(a-3)) at w = e^L, the closed-form
+    # numerator over the factors that vanish with it, as
+    # L (w E((2-a) L) - E((3-a) L)) with E(y) = (e^y - 1)/y: no 0/0 at a in {2, 3}
+    return L * (w * exprel((2.0 - alpha) * L) - exprel((3.0 - alpha) * L))
+
+
 def _int_var_unit(alpha: float, B: float, delta: float) -> float:
-    # var(V_1) for sigma2 = 1; limits at alpha in {2, 3}
-    w = 1.0 - B * delta
-    logw = math.log(w)
+    # var(V_1) for sigma2 = 1
     if B**3 == 0.0:  # underflow; the formulas are meaningless this close to 0
         raise ParameterError(f"B={B} too close to zero for the integrated formulas")
-    if abs(alpha - 2.0) < LIMIT_TOL:
-        return -(w * logw + B * delta) / B**3
-    if abs(alpha - 3.0) < LIMIT_TOL:
-        return (logw + B * delta) / (2.0 * B**3)
+    w = 1.0 - B * delta
+    if _near_singular(alpha):
+        return -float(_partial_fractions(alpha, math.log1p(-B * delta), w)) / (
+            B**3 * (alpha - 1.0))
     # expm1 keeps the numerator stable as alpha approaches the singular points
-    num = math.expm1((3.0 - alpha) * logw) - delta * B * (alpha - 3.0)
+    num = math.expm1((3.0 - alpha) * math.log(w)) - delta * B * (alpha - 3.0)
     den = B**3 * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
     if den == 0.0:  # underflow for extreme (alpha, B); the formula is meaningless there
         raise ParameterError(f"parameters too extreme for the variance formula: "
@@ -138,26 +149,56 @@ def intsupou_var(beta: ParamVector, delta: float) -> float:
 
 
 def _int_acov_units(alpha: float, B: float, delta: float, hs: np.ndarray) -> np.ndarray:
-    # cov(V_1, V_{1+h}) for sigma2 = 1 at each lag in hs; limits at alpha in {2, 3}
+    # cov(V_1, V_{1+h}) for sigma2 = 1 at each lag in hs
     if B**3 == 0.0:
         raise ParameterError(f"B={B} too close to zero for the integrated formulas")
     n = hs.size
-    w = 1.0 - B * delta * np.concatenate([hs - 1.0, hs, hs + 1.0])
-    logw = np.log(w)
-    if abs(alpha - 2.0) < LIMIT_TOL:
-        f = w * logw
-        scale = -1.0 / (2.0 * B**3)
-    elif abs(alpha - 3.0) < LIMIT_TOL:
-        f = logw
-        scale = 1.0 / (4.0 * B**3)
+    x = -B * delta * np.concatenate([hs - 1.0, hs, hs + 1.0])
+    if _near_singular(alpha):
+        # the partial fractions' linear term in h has no second difference
+        f = _partial_fractions(alpha, np.log1p(x), 1.0 + x)
+        scale = -1.0 / (2.0 * B**3 * (alpha - 1.0))
     else:
-        f = np.expm1((3.0 - alpha) * logw)
+        f = np.expm1((3.0 - alpha) * np.log(1.0 + x))
         den = 2.0 * B**3 * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
         if den == 0.0:
             raise ParameterError(f"parameters too extreme for the covariance formula: "
                                  f"alpha_pi={alpha}, B={B}")
         scale = -1.0 / den
     return scale * (f[2 * n:] - 2.0 * f[n:2 * n] + f[:n])
+
+
+def _exprel_slope(y: np.ndarray) -> np.ndarray:
+    # d/dy (e^y - 1)/y; its Taylor series where the closed form cancels
+    small = np.abs(y) < 1e-2
+    z = np.where(small, 1.0, y)
+    closed = (z * np.exp(z) - np.expm1(z)) / (z * z)
+    series = 1 / 2 + y * (1 / 3 + y * (1 / 8 + y * (1 / 30 + y * (1 / 144 + y / 840))))
+    return np.where(small, series, closed)
+
+
+def _int_unit_slopes(alpha: float, B: float, delta: float,
+                     hs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """var(V_1), then cov(V_1, V_{1+h}) at each h in hs, for sigma2 = 1, and
+    their slopes in log(alpha - 1) and in log(-B).
+
+    Each value is -R / (B^3 (a-1)) with R the variance point, or the halved
+    second difference over h-1, h, h+1, of `_partial_fractions`; its slopes
+    in a and B have no 0/0 at a in {2, 3} either, so they need no limits.
+    """
+    n = hs.size
+    x = -B * delta * np.concatenate([[1.0], hs - 1.0, hs, hs + 1.0])
+    L, w = np.log1p(x), 1.0 + x
+    y2, y3 = (2.0 - alpha) * L, (3.0 - alpha) * L
+
+    def combine(p: np.ndarray) -> np.ndarray:
+        return np.concatenate([p[:1], 0.5 * (p[1:n + 1] + p[2 * n + 1:]) - p[n + 1:2 * n + 1]])
+
+    R = combine(_partial_fractions(alpha, L, w))
+    dR_da = combine(L * L * (_exprel_slope(y3) - w * _exprel_slope(y2)))
+    B_dR_dB = combine(x * L * exprel(y2))
+    k = B**3 * (alpha - 1.0)
+    return -R / k, (R - (alpha - 1.0) * dR_da) / k, (3.0 * R - B_dR_dB) / k
 
 
 def intsupou_acov(beta: ParamVector, delta: float, h: float) -> float:

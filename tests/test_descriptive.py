@@ -51,6 +51,15 @@ class TestBasicMoments:
         x = np.random.default_rng(0).normal(size=100)
         assert sample_acov(x, 0) == sample_var(x)
 
+    def test_long_series_matches_exact_sum(self):
+        # squared returns are skewed and positive, like the fit's estimation series
+        x = np.random.default_rng(3).standard_normal(100_000) ** 2
+        mean = math.fsum(x) / x.size
+        centered = [v - mean for v in x.tolist()]
+        for h in (0, 1, 5, 40):
+            exact = math.fsum(a * b for a, b in zip(centered, centered[h:])) / x.size
+            assert_allclose(sample_acov(x, h), exact, rtol=1e-12)
+
     def test_constant_series(self):
         x = np.full(10, 3.3)
         assert sample_var(x) == 0.0

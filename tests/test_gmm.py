@@ -35,7 +35,7 @@ from supou import (
     two_step_gmm,
     untransform,
 )
-from supou.gmm import PARAMETER_BOX, _moment_targets
+from supou.gmm import PARAMETER_BOX, _moment_jacobian, _moment_targets
 
 BETA = ParamVector(0.015, 0.003, 4.0, -0.1)
 BETA_LONG = ParamVector(0.015, 0.003, 1.95, -0.1)
@@ -119,6 +119,37 @@ class TestMomentFunctions:
             expected = [q.mean, q.var + q.mean**2]
             expected += [q.mean**2 + q.acov[float(h)] for h in conds.lags]
             assert_allclose(_moment_targets(beta, conds), expected, rtol=1e-10)
+
+
+# the criterion-1 grid, plus alpha_pi at and around the removable
+# singularities of the integrated formulas
+JACOBIAN_ALPHAS = sorted(
+    {1.1, 1.45, 1.8, 1.95, 2.2, 2.6, 3.4, 4.7, 6.2, 8.0}
+    | {k + s * e for k in (2.0, 3.0) for e in (0.0, 1e-9, 1e-6, 1e-4, 1e-2) for s in (-1, 1)}
+)
+JACOBIAN_BS = np.linspace(-2.0, -0.01, 10)
+
+
+class TestMomentJacobian:
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_matches_five_point_differences(self, kind, delta):
+        conds = default_conditions(kind, delta)
+        step = 1e-3
+        worst = 0.0
+        for alpha in JACOBIAN_ALPHAS:
+            for B in JACOBIAN_BS:
+                theta = transform(ParamVector(0.015, 0.003, alpha, float(B)))
+                target = _moment_targets(untransform(theta), conds)
+                jac = _moment_jacobian(untransform(theta), conds)
+                assert np.all(np.isfinite(jac)), (alpha, B)
+                for j in range(4):
+                    def at(k):
+                        return _moment_targets(untransform(theta + k * step * np.eye(4)[j]),
+                                               conds)
+                    fd = (at(-2) - 8.0 * at(-1) + 8.0 * at(1) - at(2)) / (12.0 * step)
+                    worst = max(worst, float(np.max(np.abs(jac[:, j] - fd) / np.abs(target))))
+        assert worst <= 1e-6
 
 
 class TestSampleMoments:
@@ -234,8 +265,8 @@ BOX_CENTER = np.zeros(4)
 class TestMinimize:
     def test_exact_quadratic(self):
         target = np.array([0.3, -1.2, 2.0, 0.7])
-        theta, stop = minimize(lambda th: th - target, np.array([5.0, 5.0, -5.0, 0.0]),
-                               BOX_CENTER)
+        theta, stop = minimize(lambda th: th - target, "3-point",
+                               np.array([5.0, 5.0, -5.0, 0.0]), BOX_CENTER)
         assert stop == "converged"
         assert np.abs(theta - target).max() < 1e-8
 
@@ -243,19 +274,19 @@ class TestMinimize:
         def rosen(th):
             return np.array([10.0 * (th[1] - th[0] ** 2), 1.0 - th[0], th[2], th[3]])
 
-        theta, stop = minimize(rosen, np.array([-1.2, 1.0, 0.5, -0.5]), BOX_CENTER)
+        theta, stop = minimize(rosen, "3-point", np.array([-1.2, 1.0, 0.5, -0.5]), BOX_CENTER)
         assert stop == "converged"
         assert np.abs(theta[:2] - 1.0).max() < 1e-6
 
     def test_constant_objective(self):
         start = np.array([1.0, 2.0, 3.0, 4.0])
-        theta, stop = minimize(lambda th: np.full(3, 3.14), start, BOX_CENTER)
+        theta, stop = minimize(lambda th: np.full(3, 3.14), "3-point", start, BOX_CENTER)
         assert stop == "converged"
         assert_array_equal(theta, start)
 
     def test_non_finite_start_rejected(self):
         with pytest.raises(DomainError):
-            minimize(lambda th: np.full(4, np.inf), np.zeros(4), BOX_CENTER)
+            minimize(lambda th: np.full(4, np.inf), "3-point", np.zeros(4), BOX_CENTER)
 
     def test_non_finite_region_handled_by_shrinkage(self):
         # residuals blow up away from the origin; the trust region must cope
@@ -264,13 +295,13 @@ class TestMinimize:
                 return np.full(4, np.inf)
             return th.copy()
 
-        theta, stop = minimize(fenced, np.full(4, 1.9), BOX_CENTER)
+        theta, stop = minimize(fenced, "3-point", np.full(4, 1.9), BOX_CENTER)
         assert stop == "converged"
         assert np.abs(theta).max() < 1e-6
 
     def test_minimum_outside_box_stops_at_edge(self):
         target = np.array([0.3, PARAMETER_BOX + 4.0, -1.0, 0.0])
-        theta, stop = minimize(lambda th: th - target, np.zeros(4), BOX_CENTER)
+        theta, stop = minimize(lambda th: th - target, "3-point", np.zeros(4), BOX_CENTER)
         assert stop == "at_box_edge"
         assert theta[1] == pytest.approx(PARAMETER_BOX)
         assert np.abs(np.delete(theta - target, 1)).max() < 1e-8
@@ -282,13 +313,13 @@ class TestMinimize:
         def ridge(th):
             return np.array([1.0 + 1e-2 * np.exp(th[0]), th[1], th[2], th[3]])
 
-        theta, stop = minimize(ridge, np.zeros(4), BOX_CENTER)
+        theta, stop = minimize(ridge, "3-point", np.zeros(4), BOX_CENTER)
         assert theta[0] + PARAMETER_BOX < 1e-3
         assert stop == "at_box_edge"
 
     def test_minimum_just_inside_box_converges(self):
         target = np.array([0.0, 0.01 - PARAMETER_BOX, 0.0, 0.0])
-        theta, stop = minimize(lambda th: th - target, np.zeros(4), BOX_CENTER)
+        theta, stop = minimize(lambda th: th - target, "3-point", np.zeros(4), BOX_CENTER)
         assert stop == "converged"
         assert_allclose(theta, target, atol=1e-8)
 
@@ -376,7 +407,7 @@ class TestTwoStepGmm:
         base = _moment_columns(_estimation_series(x, ModelKind.SUPOU), SUPOU_CONDS).mean(axis=0)
         theta0 = transform(res.step1_estimate)
         for lam in (1.0, 7.0):
-            theta, stop = minimize(_residuals(base, lam * W, SUPOU_CONDS), theta0, theta0)
+            theta, stop = minimize(*_residuals(base, lam * W, SUPOU_CONDS), theta0, theta0)
             assert stop == "converged"
             if lam == 1.0:
                 ref = theta

@@ -207,6 +207,17 @@ class TestLimitHandling:
             assert_allclose(value, intsupou_acov(beta, 1.0, h), rtol=1e-6)
 
 
+    @pytest.mark.parametrize("alpha", [2.0 - 1e-6, 2.0 + 1e-4, 3.0 - 1e-6, 3.0 + 1e-3])
+    @pytest.mark.parametrize("B,delta", [(-0.01, 0.5), (-2.0, 1.0)])
+    def test_near_limit_agrees_with_oracle(self, alpha, B, delta):
+        # the closed forms cancel here: at 1e-6 from 2 they lost 5 digits
+        beta = ParamVector(0.015, 0.003, alpha, B)
+        oracle = quadrature_moments(beta, ModelKind.INTEGRATED, delta, lags=[1, 5, 40])
+        assert_allclose(intsupou_var(beta, delta), oracle.var, rtol=1e-9)
+        for h, value in oracle.acov.items():
+            assert_allclose(intsupou_acov(beta, delta, h), value, rtol=1e-9)
+
+
 class TestSvMoments:
     def test_identities(self):
         assert sv_sqret_mean(BETA_SHORT, 1.0) == intsupou_mean(BETA_SHORT, 1.0)
