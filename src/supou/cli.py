@@ -1,6 +1,9 @@
 """Command-line surface: simulate, estimate, study and fit subcommands.
 
 Exit codes: 0 success, 2 usage or input error, 3 estimation non-convergence.
+A subcommand creates its output directory only after its inputs are
+validated and its outputs computed (simulate's path files excepted, which
+are written as they are drawn), so a command that fails leaves none.
 All file outputs are UTF-8; CSVs use CRLF line endings and full float64
 precision so reruns with the same seed are byte-identical.
 """
@@ -15,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +44,7 @@ from .moments import (
     sv_sqret_var,
 )
 from .params import ModelKind, ObservationSchedule, ParamVector, PiSpec
-from .simulate import LevySpec, SimulationConfig, levy_moments, simulate_path
+from .simulate import LevySpec, SimulationConfig, simulate_path
 
 logger = logging.getLogger("supou.cli")
 
@@ -160,28 +163,23 @@ def _manifest(args, extra: Dict) -> Dict:
 def cmd_simulate(args) -> int:
     kind = ModelKind(args.model)
     beta, spec = _model_from_args(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     schedule = ObservationSchedule(args.delta, args.n_obs)
+    config = SimulationConfig(truncation_lead=args.truncation_lead, seed=args.seed)
     pi = PiSpec.from_params(beta)
+    os.makedirs(args.out_dir, exist_ok=True)
 
     paths = []
     for p in range(args.n_paths):
-        config = SimulationConfig(truncation_lead=args.truncation_lead, seed=args.seed + p)
-        sample = simulate_path(kind, spec, pi, schedule, config)
+        sample = simulate_path(kind, spec, pi, schedule, replace(config, seed=args.seed + p))
         filename = os.path.join(args.out_dir, f"path_{p:04d}.csv")
         _write_csv(filename, ["t", "value"],
                    [[_fmt(t), _fmt(v)] for t, v in zip(schedule.times(), sample.values)])
         paths.append(os.path.basename(filename))
         logger.info("wrote %s (%d observations)", filename, schedule.n_obs)
 
-    mu, sigma2 = levy_moments(spec)
     _write_json(
         os.path.join(args.out_dir, "manifest.json"),
-        _manifest(args, {
-            "command": "simulate",
-            "derived_levy_moments": {"mu": mu, "sigma2": sigma2},
-            "paths": paths,
-        }),
+        _manifest(args, {"command": "simulate", "paths": paths}),
     )
     return EXIT_OK
 
@@ -205,9 +203,9 @@ def cmd_estimate(args) -> int:
     _, series = read_series(args.input)
     conditions = _conditions_from_args(args, kind)
     result = _run_estimate(demean(series) if kind is ModelKind.SV else series, conditions)
+    payload = result.to_dict(annualize_factor=args.annualize_factor)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    payload = result.to_dict(annualize_factor=args.annualize_factor)
     _write_json(os.path.join(args.out_dir, "estimate.json"), payload)
     _write_json(
         os.path.join(args.out_dir, "manifest.json"),
@@ -226,10 +224,10 @@ def cmd_estimate(args) -> int:
 
 def _study_one_path(kind: ModelKind, beta_true: ParamVector, spec: LevySpec,
                     schedule: ObservationSchedule, conditions: MomentConditionSet,
-                    truncation_lead: float, index: int, seed: int) -> Dict:
+                    config: SimulationConfig, index: int, seed: int) -> Dict:
     """One simulate-then-estimate replication; module-level for pickling."""
-    sim_config = SimulationConfig(truncation_lead=truncation_lead, seed=seed)
-    sample = simulate_path(kind, spec, PiSpec.from_params(beta_true), schedule, sim_config)
+    sample = simulate_path(kind, spec, PiSpec.from_params(beta_true), schedule,
+                           replace(config, seed=seed))
 
     # start in a log-scale neighbourhood of the truth, as in a recovery study
     start_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
@@ -245,11 +243,9 @@ def cmd_study(args) -> int:
     kind = ModelKind(args.model)
     beta, spec = _model_from_args(args)
     conditions = _conditions_from_args(args, kind)
-    os.makedirs(args.out_dir, exist_ok=True)
-
     one_path = partial(_study_one_path, kind, beta, spec,
                        ObservationSchedule(args.delta, args.n_obs), conditions,
-                       args.truncation_lead)
+                       SimulationConfig(truncation_lead=args.truncation_lead, seed=args.seed))
     indices = range(args.n_paths)
     seeds = range(args.seed, args.seed + args.n_paths)
     # both maps return the records in path order
@@ -258,6 +254,7 @@ def cmd_study(args) -> int:
             records = list(pool.map(one_path, indices, seeds, chunksize=1))
     else:
         records = list(map(one_path, indices, seeds))
+    os.makedirs(args.out_dir, exist_ok=True)
 
     results = os.path.join(args.out_dir, "results.jsonl")
     with open(results, "w", encoding="utf-8", newline="") as fh:
@@ -353,35 +350,36 @@ def cmd_fit(args) -> int:
     if series.size < 3:
         raise CliError("need at least 3 observations after differencing")
     fitted = demean(series) if kind is ModelKind.SV else series
-    # a failed estimation leaves no output directory behind
     result = _run_estimate(fitted, _conditions_from_args(args, kind))
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out_dir, "series_used.csv"),
-        ["date", "value"],
-        zip(dates or range(1, fitted.size + 1), map("{:.17g}".format, fitted.tolist())),
-    )
 
     # empirical curves are for the estimation series (squared returns for SV)
     target = fitted * fitted if kind is ModelKind.SV else fitted
     lags = list(range(1, args.acf_lags + 1))
     emp_var = sample_var(target)
     emp_acov = np.array([sample_acov(target, h) for h in lags])
+    acf_rows = {}
     for step, beta in (("step1", result.step1_estimate), ("step2", result.step2_estimate)):
         model_acov, model_var = _model_curves(kind, beta, args.delta, lags)
+        acf_rows[step] = [
+            [h, _fmt(emp_acov[i]), _fmt(model_acov[i]),
+             _fmt(emp_acov[i] / emp_var), _fmt(model_acov[i] / model_var)]
+            for i, h in enumerate(lags)
+        ]
+    payload = result.to_dict(annualize_factor=args.annualize_factor)
+    payload["acf_decay_exponent_step2"] = 1.0 - result.step2_estimate.alpha_pi
+    os.makedirs(args.out_dir, exist_ok=True)
+
+    _write_csv(
+        os.path.join(args.out_dir, "series_used.csv"),
+        ["date", "value"],
+        zip(dates or range(1, fitted.size + 1), map("{:.17g}".format, fitted.tolist())),
+    )
+    for step, rows in acf_rows.items():
         _write_csv(
             os.path.join(args.out_dir, f"acf_{step}.csv"),
             ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"],
-            [
-                [h, _fmt(emp_acov[i]), _fmt(model_acov[i]),
-                 _fmt(emp_acov[i] / emp_var), _fmt(model_acov[i] / model_var)]
-                for i, h in enumerate(lags)
-            ],
+            rows,
         )
-
-    payload = result.to_dict(annualize_factor=args.annualize_factor)
-    payload["acf_decay_exponent_step2"] = 1.0 - result.step2_estimate.alpha_pi
     _write_json(os.path.join(args.out_dir, "fit.json"), payload)
     _write_json(
         os.path.join(args.out_dir, "manifest.json"),

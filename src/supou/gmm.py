@@ -116,6 +116,9 @@ PARAMETER_BOX = 6.0
 # the box: trf only reports a bound as active within a relative xtol of it
 _EDGE_SLACK = 1e-3
 
+# ridge added to the moment covariance, relative to its mean diagonal
+_RIDGE_SCALE = 1e-10
+
 
 @dataclass(frozen=True)
 class GmmResult:
@@ -287,14 +290,13 @@ def objective(data, beta: ParamVector, W, conditions: MomentConditionSet) -> flo
     return float(g @ W @ g)
 
 
-def estimate_weighting(data, beta1: ParamVector, conditions: MomentConditionSet,
-                       ridge_scale: float = 1e-10) -> np.ndarray:
+def estimate_weighting(data, beta1: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
     """Inverse of the (ridge-regularized) moment covariance at the step-1 estimate.
 
-    S = (1/n) sum_t f(window_t, beta1) f(window_t, beta1)'.  A trace-scaled
-    ridge keeps S invertible in the near-singular cases that show up for
-    large lag sets; if S stays non-invertible anyway, SingularWeightingError
-    is raised.
+    S = (1/n) sum_t f(window_t, beta1) f(window_t, beta1)'.  A ridge of
+    _RIDGE_SCALE times the mean diagonal keeps S invertible in the
+    near-singular cases that show up for large lag sets; if S stays
+    non-invertible anyway, SingularWeightingError is raised.
     """
     z = _estimation_series(data, conditions.kind)
     n = z.size - conditions.m
@@ -303,8 +305,7 @@ def estimate_weighting(data, beta1: ParamVector, conditions: MomentConditionSet,
     F = _moment_columns(z, conditions)
     F -= _moment_targets(beta1, conditions)
     S = (F.T @ F) / n
-    if ridge_scale > 0.0:
-        S = S + (ridge_scale * np.trace(S) / conditions.d) * np.eye(conditions.d)
+    S = S + (_RIDGE_SCALE * np.trace(S) / conditions.d) * np.eye(conditions.d)
     S = 0.5 * (S + S.T)
     try:
         chol = scipy.linalg.cho_factor(S)

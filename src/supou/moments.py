@@ -128,12 +128,11 @@ def _int_var_unit(alpha: float, B: float, delta: float) -> float:
     # var(V_1) for sigma2 = 1
     if B**3 == 0.0:  # underflow; the formulas are meaningless this close to 0
         raise ParameterError(f"B={B} too close to zero for the integrated formulas")
-    w = 1.0 - B * delta
+    L = math.log1p(-B * delta)
     if _near_singular(alpha):
-        return -float(_partial_fractions(alpha, math.log1p(-B * delta), w)) / (
-            B**3 * (alpha - 1.0))
+        return -float(_partial_fractions(alpha, L, 1.0 - B * delta)) / (B**3 * (alpha - 1.0))
     # expm1 keeps the numerator stable as alpha approaches the singular points
-    num = math.expm1((3.0 - alpha) * math.log(w)) - delta * B * (alpha - 3.0)
+    num = math.expm1((3.0 - alpha) * L) - delta * B * (alpha - 3.0)
     den = B**3 * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
     if den == 0.0:  # underflow for extreme (alpha, B); the formula is meaningless there
         raise ParameterError(f"parameters too extreme for the variance formula: "
@@ -159,7 +158,7 @@ def _int_acov_units(alpha: float, B: float, delta: float, hs: np.ndarray) -> np.
         f = _partial_fractions(alpha, np.log1p(x), 1.0 + x)
         scale = -1.0 / (2.0 * B**3 * (alpha - 1.0))
     else:
-        f = np.expm1((3.0 - alpha) * np.log(1.0 + x))
+        f = np.expm1((3.0 - alpha) * np.log1p(x))
         den = 2.0 * B**3 * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
         if den == 0.0:
             raise ParameterError(f"parameters too extreme for the covariance formula: "

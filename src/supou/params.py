@@ -22,7 +22,6 @@ __all__ = [
     "ParamVector",
     "ObservationSchedule",
     "PiSpec",
-    "has_long_memory",
     "annualize",
 ]
 
@@ -115,15 +114,6 @@ class PiSpec:
     @classmethod
     def from_params(cls, beta: ParamVector) -> "PiSpec":
         return cls(alpha_pi=beta.alpha_pi, B=beta.B)
-
-
-def has_long_memory(beta: ParamVector) -> bool:
-    """True iff the autocorrelation decays slowly enough for long memory.
-
-    Under the mirrored-Gamma specification this is exactly
-    alpha_pi in the open interval (1, 2).
-    """
-    return 1.0 < beta.alpha_pi < 2.0
 
 
 def annualize(beta: ParamVector, factor: float) -> ParamVector:

@@ -33,7 +33,6 @@ __all__ = [
     "JumpStream",
     "SimulationConfig",
     "PathSample",
-    "levy_moments",
     "sample_jump_stream",
     "evaluate_supou",
     "integrate_supou",
@@ -53,8 +52,8 @@ class LevySpec:
     """Compound Poisson specification: arrival rate and Gamma jump law.
 
     The jump law uses the rate parameterization, so jumps have mean
-    jump_shape / jump_rate.  rate = 0 is allowed and produces an empty
-    stream (a degenerate, identically-zero process).
+    jump_shape / jump_rate.  All three must be > 0; `from_moments` gives
+    the spec whose underlying Levy process has a given mean and variance.
     """
 
     rate: float
@@ -62,8 +61,8 @@ class LevySpec:
     jump_rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate >= 0.0):
-            raise ParameterError(f"rate must be >= 0, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate > 0.0):
+            raise ParameterError(f"rate must be > 0, got {self.rate}")
         if not (math.isfinite(self.jump_shape) and self.jump_shape > 0.0):
             raise ParameterError(f"jump_shape must be > 0, got {self.jump_shape}")
         if not (math.isfinite(self.jump_rate) and self.jump_rate > 0.0):
@@ -83,16 +82,6 @@ class LevySpec:
         jump_rate = (jump_shape + 1.0) * mu / sigma2
         rate = mu * jump_rate / jump_shape
         return cls(rate=rate, jump_shape=jump_shape, jump_rate=jump_rate)
-
-
-def levy_moments(spec: LevySpec) -> Tuple[float, float]:
-    """(mu, sigma2) of the underlying Levy process at unit time.
-
-    mu = rate * E[U], sigma2 = rate * E[U^2] for the Gamma jump law.
-    """
-    mean_jump = spec.jump_shape / spec.jump_rate
-    second_moment = spec.jump_shape * (spec.jump_shape + 1.0) / spec.jump_rate**2
-    return spec.rate * mean_jump, spec.rate * second_moment
 
 
 @dataclass(frozen=True)
@@ -141,17 +130,6 @@ class JumpStream:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def truncated(self, new_start: float) -> "JumpStream":
-        """Drop all jumps before new_start (tightens the burn-in window)."""
-        keep = self.times >= new_start
-        return JumpStream(
-            times=self.times[keep],
-            sizes=self.sizes[keep],
-            rates=self.rates[keep],
-            window_start=new_start,
-            window_end=self.window_end,
-        )
-
 
 @dataclass(frozen=True)
 class PathSample:
@@ -195,10 +173,6 @@ def sample_jump_stream(
 
     rng = _jump_rng(seed)
     span = end - start
-    if spec.rate == 0.0:
-        empty = np.empty(0)
-        return JumpStream(empty, empty.copy(), empty.copy(), start, end)
-
     expected = spec.rate * span
     block = int(expected + 6.0 * math.sqrt(expected + 1.0)) + 64
     arrivals = np.cumsum(rng.exponential(1.0 / spec.rate, size=block))

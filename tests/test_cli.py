@@ -35,9 +35,8 @@ class TestSimulate:
         out = tmp_path / "sim"
         assert run(["simulate", "--n-obs", 50, "--seed", 1, "--out-dir", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        levy = manifest["derived_levy_moments"]
-        assert_allclose([levy["mu"], levy["sigma2"]], [0.015, 0.003], rtol=1e-12)
         cfg = manifest["config"]
+        assert (cfg["mu"], cfg["sigma2"], cfg["jump_shape"]) == (0.015, 0.003, 3.0)
         assert cfg["truncation_lead"] == 2000.0
         assert cfg["delta"] == 1.0
         assert (out / "path_0000.csv").exists()
@@ -71,8 +70,14 @@ class TestSimulate:
         assert run(["simulate", "--n-obs", 50, "--seed", 1, "--out-dir", base]) == 0
         assert run(["simulate", "--n-obs", 50, "--seed", 1, "--jump-shape", 2,
                     "--out-dir", shaped]) == 0
-        levy = json.loads((shaped / "manifest.json").read_text())["derived_levy_moments"]
-        assert_allclose([levy["mu"], levy["sigma2"]], [0.015, 0.003], rtol=1e-12)
+        cfg = json.loads((shaped / "manifest.json").read_text())["config"]
+        assert (cfg["mu"], cfg["sigma2"], cfg["jump_shape"]) == (0.015, 0.003, 2.0)
+        # the shape changes the jump law, not the Levy mean rate k/lam and
+        # variance rate k(k+1)/lam^2
+        spec = LevySpec.from_moments(0.015, 0.003, 2.0)
+        k, lam = spec.jump_shape, spec.jump_rate
+        assert_allclose([spec.rate * k / lam, spec.rate * k * (k + 1.0) / lam**2],
+                        [0.015, 0.003], rtol=1e-12)
         assert read(base / "path_0000.csv") != read(shaped / "path_0000.csv")
 
     def test_nonpositive_jump_shape_exit_2(self, tmp_path):
@@ -261,6 +266,28 @@ class TestShortInput:
         assert run([*mode, "--input", data, "--out-dir", tmp_path / "o"]) == 2
         assert "got 4" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestFailedCommandWritesNothing:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--delta", 0, "--n-obs", 10],
+        ["simulate", "--truncation-lead", -5, "--n-obs", 10],
+        ["study", "--truncation-lead", "nan", "--n-obs", 10, "--n-paths", 1],
+        ["estimate", "--model", "sv", "--input", "RETURNS", "--annualize-factor", 0],
+        ["fit", "--returns", "--input", "RETURNS", "--annualize-factor", "nan"],
+        ["fit", "--returns", "--input", "RETURNS", "--acf-lags", 300],
+    ], ids=["sim-delta", "sim-lead", "study-lead", "est-annualize", "fit-annualize",
+            "fit-acf-lags"])
+    def test_exit_2_and_no_out_dir(self, tmp_path, argv):
+        # estimate and fit reach their invalid value only after estimating
+        data = tmp_path / "returns.csv"
+        y = simulate_path(ModelKind.SV, LevySpec.from_moments(0.015, 0.003), PiSpec(4.0, -0.1),
+                          ObservationSchedule(1.0, 300), SimulationConfig(seed=2)).values
+        data.write_text("\n".join(map(repr, y.tolist())) + "\n")
+        out = tmp_path / "o"
+        argv = [data if arg == "RETURNS" else arg for arg in argv]
+        assert run([*argv, "--out-dir", out]) == 2
+        assert not out.exists()
 
 
 class TestUnidentifiedLags:

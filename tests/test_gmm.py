@@ -17,6 +17,7 @@ from supou import (
     ParamVector,
     PiSpec,
     SimulationConfig,
+    SingularWeightingError,
     WeightingMatrixError,
     closed_form_init,
     default_conditions,
@@ -35,6 +36,7 @@ from supou import (
     two_step_gmm,
     untransform,
 )
+from supou import gmm
 from supou.gmm import PARAMETER_BOX, _moment_jacobian, _moment_targets
 
 BETA = ParamVector(0.015, 0.003, 4.0, -0.1)
@@ -225,19 +227,21 @@ class TestEstimateWeighting:
         S += 1e-10 * np.trace(S) / 6 * np.eye(6)
         assert np.abs(S @ W - np.eye(6)).max() < 1e-8
 
-    def test_constant_windows_outer_product(self):
+    def test_constant_windows_outer_product(self, monkeypatch):
         # constant data makes every window's moment vector identical, so S is
         # the rank-one outer product and inversion relies on the ridge
+        monkeypatch.setattr(gmm, "_RIDGE_SCALE", 1e-6)
         x = np.full(50, 0.05)
-        W = estimate_weighting(x, BETA, SUPOU_CONDS, ridge_scale=1e-6)
+        W = estimate_weighting(x, BETA, SUPOU_CONDS)
         f = sample_moments(x[:6], BETA, SUPOU_CONDS)
         S = np.outer(f, f) + 1e-6 * (f @ f) / 6 * np.eye(6)
         assert_allclose(np.linalg.inv(S), W, rtol=1e-6)
 
-    def test_singular_without_ridge(self):
+    def test_singular_without_ridge(self, monkeypatch):
+        monkeypatch.setattr(gmm, "_RIDGE_SCALE", 0.0)
         x = np.full(50, 0.05)
-        with pytest.raises(Exception):
-            estimate_weighting(x, BETA, SUPOU_CONDS, ridge_scale=0.0)
+        with pytest.raises(SingularWeightingError):
+            estimate_weighting(x, BETA, SUPOU_CONDS)
 
 
 class TestTransform:

@@ -15,7 +15,6 @@ from supou import (
     ParameterError,
     ParamVector,
     annualize,
-    has_long_memory,
     intsupou_acov,
     intsupou_mean,
     intsupou_var,
@@ -99,13 +98,6 @@ class TestSupouMoments:
                 math.log(supou_acf(beta, 1e4)) - math.log(supou_acf(beta, 1e3))
             ) / (math.log(1e4) - math.log(1e3))
             assert abs(slope / (1.0 - beta.alpha_pi) - 1.0) < 0.02
-
-
-class TestLongMemory:
-    def test_long_memory_flags(self):
-        assert has_long_memory(BETA_LONG)
-        assert not has_long_memory(BETA_SHORT)
-        assert not has_long_memory(ParamVector(0.015, 0.003, 2.0, -0.1))
 
 
 class TestAnnualize:
@@ -262,6 +254,18 @@ class TestQuadratureOracle:
             assert_allclose(integrated.var, intsupou_var(beta, delta), rtol=1e-8)
             for h, value in integrated.acov.items():
                 assert_allclose(value, intsupou_acov(beta, delta, h), rtol=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1.5, 4.0, 6.8])
+    @pytest.mark.parametrize("B,delta", [(-0.0086, 1 / 78), (-0.0086, 1 / 390),
+                                         (-2.5e-4, 1.0), (-1e-4, 0.5)])
+    def test_small_B_delta_agrees_with_oracle(self, alpha, B, delta):
+        # intraday spacing at a daily B, and the lower face of the fit box:
+        # log(1 - B delta) without log1p lost up to 3.6e-7 here
+        beta = ParamVector(0.015, 0.003, alpha, B)
+        oracle = quadrature_moments(beta, ModelKind.INTEGRATED, delta, lags=[1, 5, 40])
+        assert_allclose(intsupou_var(beta, delta), oracle.var, rtol=1e-8)
+        for h, value in oracle.acov.items():
+            assert_allclose(intsupou_acov(beta, delta, h), value, rtol=1e-8)
 
     @pytest.mark.parametrize("alpha", [208.0, 500.0, 1000.0])
     def test_large_alpha_finds_the_gamma_peak(self, alpha):

@@ -14,6 +14,8 @@ REMOVED = (
     "moment_function_sv",
     "SeriesSummary",
     "series_summary",
+    "levy_moments",
+    "has_long_memory",
 )
 
 # parameters that only tests set, removed from the program
@@ -22,6 +24,7 @@ REMOVED_PARAMETERS = (
     (simulate.simulate_path, "jump_sampler"),
     (moments.gamma_mix_integral, "rel_tol"),
     (moments.quadrature_moments, "rel_tol"),
+    (gmm.estimate_weighting, "ridge_scale"),
 )
 
 
@@ -40,5 +43,6 @@ def test_removed_names_are_gone():
     assert not hasattr(supou.PathSample, "write_csv")
     assert not hasattr(supou.ParamVector, "from_array")
     assert not hasattr(simulate, "JumpSampler")
+    assert not hasattr(simulate.JumpStream, "truncated")
     for fn, parameter in REMOVED_PARAMETERS:
         assert parameter not in inspect.signature(fn).parameters

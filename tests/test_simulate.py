@@ -19,7 +19,6 @@ from supou import (
     evaluate_supou,
     integrate_supou,
     intsupou_var,
-    levy_moments,
     sample_jump_stream,
     simulate_path,
     simulate_sv_logreturns,
@@ -72,25 +71,14 @@ def dense_integrate(stream, schedule, block=500):
 
 
 class TestLevySpec:
-    def test_paper_setup_moments(self):
-        assert levy_moments(SPEC) == (0.015, 0.003)
-
     def test_zero_rate(self):
-        assert levy_moments(LevySpec(0.0, 1.0, 1.0)) == (0.0, 0.0)
-
-    def test_exponential_jumps_second_moment(self):
-        # E[U] = 1, E[U^2] = 2 for a unit exponential; checked by Monte Carlo
-        mu, sigma2 = levy_moments(LevySpec(1.0, 1.0, 1.0))
-        draws = np.random.default_rng(5).exponential(1.0, 1_000_000)
-        assert_allclose(mu, draws.mean(), rtol=5e-3)
-        assert_allclose(sigma2, (draws**2).mean(), rtol=5e-3)
+        with pytest.raises(ParameterError):
+            LevySpec(0.0, 1.0, 1.0)
 
     def test_from_moments_roundtrip(self):
         spec = LevySpec.from_moments(0.015, 0.003)
         assert_allclose(spec.rate, 0.1, rtol=1e-14)
         assert_allclose(spec.jump_rate, 20.0, rtol=1e-14)
-        mu, sigma2 = levy_moments(spec)
-        assert_allclose([mu, sigma2], [0.015, 0.003], rtol=1e-14)
 
     @pytest.mark.parametrize("shape", [0.0, -0.5])
     def test_from_moments_rejects_nonpositive_shape(self, shape):
@@ -298,7 +286,9 @@ class TestTruncation:
     def test_lead_2000_vs_4000(self):
         sched = ObservationSchedule(1.0, 1000)
         full = sample_jump_stream(SPEC, PI, (-4000.0, sched.horizon), seed=5)
-        truncated = full.truncated(-2000.0)
+        keep = full.times >= -2000.0
+        truncated = JumpStream(full.times[keep], full.sizes[keep], full.rates[keep],
+                               -2000.0, full.window_end)
         x_full = evaluate_supou(full, sched.times())
         x_trunc = evaluate_supou(truncated, sched.times())
         rel = np.max(np.abs(x_full - x_trunc) / np.abs(x_full))
