@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage or input error, 3 estimation non-convergence.
 A subcommand creates its output directory only after its inputs are
-validated and its outputs computed (simulate's path files excepted, which
-are written as they are drawn), so a command that fails leaves none.
+validated and its outputs computed (simulate's path files excepted: each is
+written as it is drawn, the directory with the first), so a command that
+fails leaves none.
 All file outputs are UTF-8; CSVs use CRLF line endings and full float64
 precision so reruns with the same seed are byte-identical.
 """
@@ -18,7 +19,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -164,13 +165,12 @@ def cmd_simulate(args) -> int:
     kind = ModelKind(args.model)
     beta, spec = _model_from_args(args)
     schedule = ObservationSchedule(args.delta, args.n_obs)
-    config = SimulationConfig(truncation_lead=args.truncation_lead, seed=args.seed)
     pi = PiSpec.from_params(beta)
-    os.makedirs(args.out_dir, exist_ok=True)
 
     paths = []
     for p in range(args.n_paths):
-        sample = simulate_path(kind, spec, pi, schedule, replace(config, seed=args.seed + p))
+        sample = simulate_path(kind, spec, pi, schedule, SimulationConfig(seed=args.seed + p))
+        os.makedirs(args.out_dir, exist_ok=True)
         filename = os.path.join(args.out_dir, f"path_{p:04d}.csv")
         _write_csv(filename, ["t", "value"],
                    [[_fmt(t), _fmt(v)] for t, v in zip(schedule.times(), sample.values)])
@@ -224,10 +224,10 @@ def cmd_estimate(args) -> int:
 
 def _study_one_path(kind: ModelKind, beta_true: ParamVector, spec: LevySpec,
                     schedule: ObservationSchedule, conditions: MomentConditionSet,
-                    config: SimulationConfig, index: int, seed: int) -> Dict:
+                    index: int, seed: int) -> Dict:
     """One simulate-then-estimate replication; module-level for pickling."""
     sample = simulate_path(kind, spec, PiSpec.from_params(beta_true), schedule,
-                           replace(config, seed=seed))
+                           SimulationConfig(seed=seed))
 
     # start in a log-scale neighbourhood of the truth, as in a recovery study
     start_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
@@ -244,8 +244,7 @@ def cmd_study(args) -> int:
     beta, spec = _model_from_args(args)
     conditions = _conditions_from_args(args, kind)
     one_path = partial(_study_one_path, kind, beta, spec,
-                       ObservationSchedule(args.delta, args.n_obs), conditions,
-                       SimulationConfig(truncation_lead=args.truncation_lead, seed=args.seed))
+                       ObservationSchedule(args.delta, args.n_obs), conditions)
     indices = range(args.n_paths)
     seeds = range(args.seed, args.seed + args.n_paths)
     # both maps return the records in path order
@@ -409,11 +408,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n-obs", type=_positive_int, default=10_000)
-    parser.add_argument("--truncation-lead", type=float, default=2000.0,
-                        help="burn-in length; jumps before -lead are not drawn, so the "
-                             "mean at t=0 falls short by (1 - B*lead)^(1 - alpha_pi) "
-                             "of the stationary mean (59%% at alpha_pi=1.1, 0.65%% at "
-                             "1.95, with the defaults)")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, model_default: str) -> None:

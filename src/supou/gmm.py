@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -352,19 +352,21 @@ def untransform(theta) -> ParamVector:
 # bounded least squares
 # ---------------------------------------------------------------------------
 
-def minimize(residuals: Callable, jac: Union[Callable, str], theta0,
+def minimize(residuals: Callable, jac: Callable, theta0,
              center: np.ndarray) -> Tuple[np.ndarray, str]:
     """Minimize the sum of squared residuals inside center +/- PARAMETER_BOX.
 
     One call of scipy's trust-region reflective least squares with default
-    tolerances; `jac` is the Jacobian of the residuals, as `least_squares`
-    takes it (a function of theta, or a finite-difference scheme).  Returns
+    tolerances; `jac` is the Jacobian of the residuals as a function of
+    theta (finite differences are not accepted).  Returns
     the final theta and why the fit stopped: "at_box_edge" when any
     coordinate ends within _EDGE_SLACK of the box, else "max_evaluations"
     when the evaluation budget ran out, else "converged".  Residuals that
     are not finite at a trial point shrink the trust region; at the start
     they raise DomainError.
     """
+    if not callable(jac):
+        raise TypeError(f"jac must be a function of theta, got {jac!r}")
     theta0 = np.asarray(theta0, dtype=float)
     if not np.all(np.isfinite(residuals(theta0))):
         raise DomainError("residuals must be finite at the starting point")
@@ -456,12 +458,26 @@ def _require_dispersion(mean: float, var: float) -> None:
 
 
 def _moment_matched_start(data, conditions: MomentConditionSet) -> ParamVector:
-    """Crude default start: fixed acf shape, mean/variance matched to the data."""
+    """Crude default start: fixed acf shape, mean/variance matched to the data.
+
+    Raises DomainError naming delta when the moment formulas cannot be
+    evaluated at the start, B = -0.1 / delta.
+    """
     z = _estimation_series(data, conditions.kind)
     mean, var = sample_mean(z), sample_var(z)
     _require_dispersion(mean, var)
-    return _rescale_for_kind(4.0, -0.1 / conditions.delta, mean, var,
-                             conditions.kind, conditions.delta)
+    delta = conditions.delta
+    message = (f"delta={delta} is out of range: the moment formulas cannot be "
+               f"evaluated at the start B = -0.1/delta")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            start = _rescale_for_kind(4.0, -0.1 / delta, mean, var, conditions.kind, delta)
+            finite = np.all(np.isfinite(_moment_targets(start, conditions)))
+    except (ArithmeticError, DomainError) as exc:
+        raise DomainError(message) from exc
+    if not finite:
+        raise DomainError(message)
+    return start
 
 
 def initial_estimate(data, conditions: MomentConditionSet) -> ParamVector:

@@ -6,22 +6,25 @@ jump contributions
     X(t) = sum over jumps i with tau_i <= t of  U_i * exp(A_i (t - tau_i)),
 
 each jump carrying its own mean-reversion rate A_i < 0 drawn from the
-mirrored-Gamma law.  Realizing the jump triples (tau_i, U_i, A_i) on a
-window that starts well before the observation horizon makes X, its
-interval integrals V_n and the SV log returns all computable from the same
-stream without time discretization: X and V_n in closed form per jump, and
-the log returns as sqrt(V_n) Z_n with independent standard normal Z_n,
-which is their exact law given X.  Jumps before the window are not drawn,
-which biases the start of a path low (see `SimulationConfig`).  The jump
-sums leave out only terms whose total is at most 1e-15 of the sum at every
-time, a bound relative to the sum that holds because every term is positive.
+mirrored-Gamma law.  Realizing the jump triples (tau_i, U_i, A_i) makes X,
+its interval integrals V_n and the SV log returns all computable from the
+same stream without time discretization: X and V_n in closed form per jump,
+and the log returns as sqrt(V_n) Z_n with independent standard normal Z_n,
+which is their exact law given X.  The jumps born before the stream's window
+are drawn from their exact law too and enter at the window's start, so a
+path is stationary from its first observation.  The only approximation is
+a relative 1e-15: the jumps born before the window whose value at its start
+is at most 1e-15 of their size are not drawn (in expectation 1e-15 of the
+stationary mean), and the jump sums leave out only terms whose total is at
+most 1e-15 of the sum at every time, a bound relative to the sum that holds
+because every term is positive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 import numpy as np
 
@@ -41,8 +44,14 @@ __all__ = [
 ]
 
 # Jumps dropped from a time chunk carry at most this fraction of the sum at
-# every time in the chunk (see _jump_sum).
+# every time in the chunk (see _jump_sum); jumps born before a stream's window
+# are drawn only while their value at its start exceeds this fraction of
+# their size (see sample_jump_stream).
 _REL_CUTOFF = 1e-15
+
+# A stream's expected jump count may not exceed this: its triples alone
+# take 24 bytes per jump, 2.4 GB at the bound.
+_MAX_EXPECTED_JUMPS = 1e8
 
 _TIME_CHUNK = 512
 
@@ -86,26 +95,24 @@ class LevySpec:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Simulation controls: burn-in window and master seed.
+    """Simulation controls: the master seed.
 
-    Jumps born before -truncation_lead are never drawn, so a path starts
-    below stationarity: at time t >= 0 the missing jumps would carry a share
-    (1 - B (truncation_lead + t))^(1 - alpha_pi) of the stationary mean.  At
-    the default lead and B = -0.1 that share at t = 0 is 59% for
-    alpha_pi = 1.1, 7% for 1.5, 0.65% for 1.95 and 1.2e-7 for 4.
+    `simulate_path` draws the in-window jumps on [-truncation_lead, horizon]
+    and the jumps born before -truncation_lead from their exact law, so the
+    lead is a fixed part of each seeded stream, not an approximation.
     """
 
-    truncation_lead: float = 2000.0
+    truncation_lead: ClassVar[float] = 2000.0
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.truncation_lead) and self.truncation_lead > 0.0):
-            raise DomainError(f"truncation_lead must be > 0, got {self.truncation_lead}")
 
 
 @dataclass(frozen=True)
 class JumpStream:
-    """Realized jump triples (tau_i, U_i, A_i) on [window_start, window_end]."""
+    """Realized jump triples (tau_i, U_i, A_i) on [window_start, window_end].
+
+    Times are nondecreasing: the jumps born before the window enter at
+    window_start with their value there as size.
+    """
 
     times: np.ndarray
     sizes: np.ndarray
@@ -118,8 +125,8 @@ class JumpStream:
         if not (t.shape == u.shape == a.shape) or t.ndim != 1:
             raise DomainError("times, sizes and rates must be 1-d arrays of equal length")
         if t.size:
-            if np.any(np.diff(t) <= 0.0):
-                raise DomainError("jump times must be strictly increasing")
+            if np.any(np.diff(t) < 0.0):
+                raise DomainError("jump times must be nondecreasing")
             if t[0] < self.window_start or t[-1] > self.window_end:
                 raise DomainError("jump times must lie inside the window")
             if np.any(u <= 0.0):
@@ -153,27 +160,48 @@ def _brownian_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
 
 
+def _prewindow_rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+
+
 def sample_jump_stream(
     spec: LevySpec,
     pi: PiSpec,
     window: Tuple[float, float],
     seed: int,
 ) -> JumpStream:
-    """Draw a compound-Poisson jump stream on the window.
+    """Draw a stationary compound-Poisson jump stream on the window.
 
-    Arrivals are homogeneous Poisson with intensity spec.rate (exponential
-    inter-arrival gaps), jump sizes come from the Gamma law of `spec`, and
-    the mean-reversion rates are B * Gamma(alpha_pi, 1) draws.
+    Inside the window, arrivals are homogeneous Poisson with intensity
+    spec.rate (exponential inter-arrival gaps), jump sizes come from the
+    Gamma law of `spec`, and the mean-reversion rates are
+    B * Gamma(alpha_pi, 1) draws.  The jumps born before the window, with
+    u = exp(A (start - tau)) in (0, 1), form a Poisson random measure of
+    intensity rate pi(dA) F(dU) du / (|A| u) (Barndorff-Nielsen 2001).  Those
+    with u > eps = _REL_CUTOFF number Poisson(rate log(1/eps) / (|B|
+    (alpha_pi - 1))); each has U from the jump law, A = B R with
+    R ~ Gamma(alpha_pi - 1, 1) and log u uniform on (log eps, 0), and enters
+    at the window's start as a jump of size U u.  They come from a substream
+    of the seed that is independent of the in-window draws.
 
-    Deterministic given (spec, pi, window, seed).
+    Deterministic given (spec, pi, window, seed).  Raises DomainError when
+    the expected jump count exceeds _MAX_EXPECTED_JUMPS.
     """
     start, end = float(window[0]), float(window[1])
     if not start < end:
         raise DomainError(f"window start must precede end, got {window}")
-
-    rng = _jump_rng(seed)
     span = end - start
     expected = spec.rate * span
+    # each divisor is nonzero; a quotient that overflows is inf
+    expected_before = spec.rate * math.log(1.0 / _REL_CUTOFF) / -pi.B / (pi.alpha_pi - 1.0)
+    if not expected + expected_before <= _MAX_EXPECTED_JUMPS:
+        raise DomainError(
+            f"expected {expected:.3g} jumps on the window {window} and "
+            f"{expected_before:.3g} born before it, more than {_MAX_EXPECTED_JUMPS:.0e}; "
+            f"the jump rate, horizon or 1/(|B| (alpha_pi - 1)) is too large"
+        )
+
+    rng = _jump_rng(seed)
     block = int(expected + 6.0 * math.sqrt(expected + 1.0)) + 64
     arrivals = np.cumsum(rng.exponential(1.0 / spec.rate, size=block))
     while arrivals[-1] < span:
@@ -184,7 +212,20 @@ def sample_jump_stream(
     n = arrivals.size
     sizes = rng.gamma(spec.jump_shape, 1.0 / spec.jump_rate, size=n)
     rates = pi.B * rng.gamma(pi.alpha_pi, 1.0, size=n)
-    return JumpStream(start + arrivals, sizes, rates, start, end)
+
+    rng = _prewindow_rng(seed)
+    m = rng.poisson(expected_before)
+    sizes_before = (rng.gamma(spec.jump_shape, 1.0 / spec.jump_rate, size=m)
+                    * np.exp(rng.uniform(math.log(_REL_CUTOFF), 0.0, size=m)))
+    # numpy's Gamma draws underflow to exactly 0 for shapes near 0
+    r = np.maximum(rng.gamma(pi.alpha_pi - 1.0, 1.0, size=m), np.finfo(float).tiny)
+    return JumpStream(
+        np.concatenate([np.full(m, start), start + arrivals]),
+        np.concatenate([sizes_before, sizes]),
+        np.concatenate([pi.B * r, rates]),
+        start,
+        end,
+    )
 
 
 def _check_times_in_window(t: np.ndarray, jumps: JumpStream) -> None:
@@ -296,12 +337,10 @@ def simulate_path(
     schedule: ObservationSchedule,
     config: SimulationConfig,
 ) -> PathSample:
-    """Sample a jump stream on [-truncation_lead, horizon] and observe `kind` on it.
+    """Sample a stationary jump stream and observe `kind` on it.
 
-    Exact for that stream, which leaves out the jumps before
-    -truncation_lead: the path's mean falls short of the stationary mean by
-    the share given in `SimulationConfig`, largest at t = 0 and for
-    alpha_pi near 1.
+    The stream's window is [-truncation_lead, horizon]; the jumps born
+    before it are drawn from their exact law (see `sample_jump_stream`).
     """
     window = (-config.truncation_lead, schedule.horizon)
     jumps = sample_jump_stream(spec, pi, window, config.seed)

@@ -37,7 +37,7 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         cfg = manifest["config"]
         assert (cfg["mu"], cfg["sigma2"], cfg["jump_shape"]) == (0.015, 0.003, 3.0)
-        assert cfg["truncation_lead"] == 2000.0
+        assert "truncation_lead" not in cfg
         assert cfg["delta"] == 1.0
         assert (out / "path_0000.csv").exists()
 
@@ -59,6 +59,11 @@ class TestSimulate:
                                PiSpec(4.0, -0.1), schedule, SimulationConfig(seed=6))
         assert_array_equal([float(t) for t in times], schedule.times())
         assert_array_equal(values, sample.values)
+
+    def test_truncation_lead_is_unknown(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--truncation-lead", 4000, "--out-dir", tmp_path / "o"])
+        assert exc.value.code == 2
 
     def test_zero_observations_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -271,12 +276,14 @@ class TestShortInput:
 class TestFailedCommandWritesNothing:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--delta", 0, "--n-obs", 10],
-        ["simulate", "--truncation-lead", -5, "--n-obs", 10],
-        ["study", "--truncation-lead", "nan", "--n-obs", 10, "--n-paths", 1],
+        # expected jump counts beyond the bound: an infinite horizon, and a
+        # jump rate of about 3e296 from the tiny variance
+        ["simulate", "--model", "integrated", "--delta", 1e308, "--n-obs", 5],
+        ["study", "--model", "sv", "--sigma2", 1e-300, "--n-obs", 10, "--n-paths", 1],
         ["estimate", "--model", "sv", "--input", "RETURNS", "--annualize-factor", 0],
         ["fit", "--returns", "--input", "RETURNS", "--annualize-factor", "nan"],
         ["fit", "--returns", "--input", "RETURNS", "--acf-lags", 300],
-    ], ids=["sim-delta", "sim-lead", "study-lead", "est-annualize", "fit-annualize",
+    ], ids=["sim-delta", "sim-jump-bound", "study-jump-bound", "est-annualize", "fit-annualize",
             "fit-acf-lags"])
     def test_exit_2_and_no_out_dir(self, tmp_path, argv):
         # estimate and fit reach their invalid value only after estimating
@@ -288,6 +295,25 @@ class TestFailedCommandWritesNothing:
         argv = [data if arg == "RETURNS" else arg for arg in argv]
         assert run([*argv, "--out-dir", out]) == 2
         assert not out.exists()
+
+
+class TestExtremeDelta:
+    # the cold start puts B at -0.1/delta, where B**3 overflows or underflows
+    # (integrated, SV) or the lags times delta overflow (supOU)
+    @pytest.mark.parametrize("model, delta", [
+        ("supou", 1e308), ("integrated", 1e-300), ("integrated", 1e308),
+        ("sv", 1e-300), ("sv", 1e308),
+    ])
+    def test_exit_2_names_delta(self, tmp_path, capsys, model, delta):
+        data = tmp_path / "series.csv"
+        sample = simulate_path(ModelKind(model), LevySpec.from_moments(0.015, 0.003),
+                               PiSpec(4.0, -0.1), ObservationSchedule(1.0, 300),
+                               SimulationConfig(seed=4))
+        data.write_text("\n".join(map(repr, sample.values.tolist())) + "\n")
+        assert run(["estimate", "--model", model, "--input", data, "--delta", delta,
+                    "--out-dir", tmp_path / "o"]) == 2
+        assert f"delta={delta} is out of range" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestUnidentifiedLags:

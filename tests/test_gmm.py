@@ -266,10 +266,14 @@ class TestTransform:
 BOX_CENTER = np.zeros(4)
 
 
+def identity_jac(th):
+    return np.eye(4)
+
+
 class TestMinimize:
     def test_exact_quadratic(self):
         target = np.array([0.3, -1.2, 2.0, 0.7])
-        theta, stop = minimize(lambda th: th - target, "3-point",
+        theta, stop = minimize(lambda th: th - target, identity_jac,
                                np.array([5.0, 5.0, -5.0, 0.0]), BOX_CENTER)
         assert stop == "converged"
         assert np.abs(theta - target).max() < 1e-8
@@ -278,19 +282,30 @@ class TestMinimize:
         def rosen(th):
             return np.array([10.0 * (th[1] - th[0] ** 2), 1.0 - th[0], th[2], th[3]])
 
-        theta, stop = minimize(rosen, "3-point", np.array([-1.2, 1.0, 0.5, -0.5]), BOX_CENTER)
+        def rosen_jac(th):
+            jac = np.eye(4)
+            jac[0, :2] = -20.0 * th[0], 10.0
+            jac[1, :2] = -1.0, 0.0
+            return jac
+
+        theta, stop = minimize(rosen, rosen_jac, np.array([-1.2, 1.0, 0.5, -0.5]), BOX_CENTER)
         assert stop == "converged"
         assert np.abs(theta[:2] - 1.0).max() < 1e-6
 
     def test_constant_objective(self):
         start = np.array([1.0, 2.0, 3.0, 4.0])
-        theta, stop = minimize(lambda th: np.full(3, 3.14), "3-point", start, BOX_CENTER)
+        theta, stop = minimize(lambda th: np.full(3, 3.14), lambda th: np.zeros((3, 4)),
+                               start, BOX_CENTER)
         assert stop == "converged"
         assert_array_equal(theta, start)
 
     def test_non_finite_start_rejected(self):
         with pytest.raises(DomainError):
-            minimize(lambda th: np.full(4, np.inf), "3-point", np.zeros(4), BOX_CENTER)
+            minimize(lambda th: np.full(4, np.inf), identity_jac, np.zeros(4), BOX_CENTER)
+
+    def test_finite_difference_scheme_rejected(self):
+        with pytest.raises(TypeError):
+            minimize(lambda th: th, "3-point", np.zeros(4), BOX_CENTER)
 
     def test_non_finite_region_handled_by_shrinkage(self):
         # residuals blow up away from the origin; the trust region must cope
@@ -299,13 +314,13 @@ class TestMinimize:
                 return np.full(4, np.inf)
             return th.copy()
 
-        theta, stop = minimize(fenced, "3-point", np.full(4, 1.9), BOX_CENTER)
+        theta, stop = minimize(fenced, identity_jac, np.full(4, 1.9), BOX_CENTER)
         assert stop == "converged"
         assert np.abs(theta).max() < 1e-6
 
     def test_minimum_outside_box_stops_at_edge(self):
         target = np.array([0.3, PARAMETER_BOX + 4.0, -1.0, 0.0])
-        theta, stop = minimize(lambda th: th - target, "3-point", np.zeros(4), BOX_CENTER)
+        theta, stop = minimize(lambda th: th - target, identity_jac, np.zeros(4), BOX_CENTER)
         assert stop == "at_box_edge"
         assert theta[1] == pytest.approx(PARAMETER_BOX)
         assert np.abs(np.delete(theta - target, 1)).max() < 1e-8
@@ -317,13 +332,18 @@ class TestMinimize:
         def ridge(th):
             return np.array([1.0 + 1e-2 * np.exp(th[0]), th[1], th[2], th[3]])
 
-        theta, stop = minimize(ridge, "3-point", np.zeros(4), BOX_CENTER)
+        def ridge_jac(th):
+            jac = np.eye(4)
+            jac[0, 0] = 1e-2 * np.exp(th[0])
+            return jac
+
+        theta, stop = minimize(ridge, ridge_jac, np.zeros(4), BOX_CENTER)
         assert theta[0] + PARAMETER_BOX < 1e-3
         assert stop == "at_box_edge"
 
     def test_minimum_just_inside_box_converges(self):
         target = np.array([0.0, 0.01 - PARAMETER_BOX, 0.0, 0.0])
-        theta, stop = minimize(lambda th: th - target, "3-point", np.zeros(4), BOX_CENTER)
+        theta, stop = minimize(lambda th: th - target, identity_jac, np.zeros(4), BOX_CENTER)
         assert stop == "converged"
         assert_allclose(theta, target, atol=1e-8)
 

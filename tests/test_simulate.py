@@ -1,6 +1,7 @@
 """Jump-stream simulation, exact evaluation/integration and SV returns."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,8 @@ class TestJumpStream:
         assert abs(stream.rates.mean() - BETA.B * BETA.alpha_pi) <= 4.0 * se
 
     def test_invariants_enforced(self):
+        # ties are allowed: the jumps born before the window share its start
+        JumpStream(np.zeros(2), np.ones(2), -np.ones(2), 0.0, 2.0)
         with pytest.raises(DomainError):
             JumpStream(np.array([1.0, 0.5]), np.ones(2), -np.ones(2), 0.0, 2.0)
         with pytest.raises(DomainError):
@@ -282,17 +285,44 @@ class TestSvReturns:
         assert_array_equal(sample.values, expected)
 
 
-class TestTruncation:
-    def test_lead_2000_vs_4000(self):
-        sched = ObservationSchedule(1.0, 1000)
-        full = sample_jump_stream(SPEC, PI, (-4000.0, sched.horizon), seed=5)
-        keep = full.times >= -2000.0
-        truncated = JumpStream(full.times[keep], full.sizes[keep], full.rates[keep],
-                               -2000.0, full.window_end)
-        x_full = evaluate_supou(full, sched.times())
-        x_trunc = evaluate_supou(truncated, sched.times())
-        rel = np.max(np.abs(x_full - x_trunc) / np.abs(x_full))
-        assert rel < 1e-8
+class TestStationaryStart:
+    """The jumps born before the window, drawn from their exact law."""
+
+    def test_mean_at_start_is_stationary(self):
+        # without them X(0) would be 0.41 of the stationary mean here
+        beta = ParamVector(0.015, 0.003, 1.1, -0.1)
+        spec = LevySpec.from_moments(beta.mu, beta.sigma2)
+        pi = PiSpec.from_params(beta)
+        x0 = np.array([
+            evaluate_supou(sample_jump_stream(spec, pi, (-2000.0, 1.0), seed), [0.0])[0]
+            for seed in range(400)
+        ])
+        se = x0.std(ddof=1) / math.sqrt(x0.size)
+        assert abs(x0.mean() - supou_mean(beta)) <= 3.0 * se
+
+    def test_alpha_near_one(self):
+        # R ~ Gamma(0.01, 1) underflows to 0 in about 5.7e-4 of numpy's draws;
+        # every rate must still be negative, and nothing may warn
+        beta = ParamVector(0.015, 0.003, 1.01, -0.1)
+        spec = LevySpec.from_moments(beta.mu, beta.sigma2)
+        expected = spec.rate * math.log(1e15) / (0.1 * 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(5):
+                stream = sample_jump_stream(spec, PiSpec.from_params(beta), (0.0, 10.0), seed)
+                before = stream.times == 0.0
+                assert np.all(stream.rates < 0.0)
+                assert abs(before.sum() - expected) <= 4.0 * math.sqrt(expected)
+                assert np.all(stream.sizes[before] > 0.0)
+
+    def test_expected_count_bounded(self):
+        # too many in the window, too many born before it, infinitely many
+        with pytest.raises(DomainError):
+            sample_jump_stream(SPEC, PI, (0.0, 1e12), seed=0)
+        with pytest.raises(DomainError):
+            sample_jump_stream(SPEC, PiSpec(1.0 + 1e-12, -0.1), (0.0, 1.0), seed=0)
+        with pytest.raises(DomainError):
+            sample_jump_stream(SPEC, PI, (0.0, math.inf), seed=0)
 
 
 class TestPathSample:
