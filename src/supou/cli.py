@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
@@ -21,6 +22,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from functools import partial
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,6 +60,9 @@ HIST_BINS = 20
 # half-width of the uniform log-scale jitter around the truth that a
 # recovery study starts each path's estimation from
 START_JITTER = 0.5
+# rows per chunk of the bulk CSV reader and writer: `_write_columns` formats
+# this many rows with one %-operation
+CSV_CHUNK_ROWS = 4096
 
 
 class CliError(Exception):
@@ -93,6 +98,25 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_columns(path: str, header: Sequence[str], row_format: str,
+                   columns: Sequence[Sequence]) -> None:
+    """Write equal-length columns with `_write_csv`'s bytes, one %-format per chunk.
+
+    `row_format` formats one row and ends in CRLF; no cell it writes may
+    contain `,`, `"`, CR or LF, which `csv.writer` would quote.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            chunk = [column[start:start + CSV_CHUNK_ROWS] for column in columns]
+            # interleaved by slice assignment: a tuple per row (zip) left
+            # the heap fragmented, and peak RSS grew by 5 MB over 90 fits
+            cells = [None] * (len(chunk) * len(chunk[0]))
+            for j, column in enumerate(chunk):
+                cells[j::len(chunk)] = column
+            fh.write(row_format * len(chunk[0]) % tuple(cells))
+
+
 def _write_json(path: str, payload: Dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2)
@@ -100,36 +124,90 @@ def _write_json(path: str, payload: Dict) -> None:
 
 
 def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
-    """Read a one-observation-per-line CSV: `value` or `date,value` rows."""
+    """Read a one-observation-per-line CSV: `value` or `date,value` rows.
+
+    Unquoted rows with one column count, all values finite, are parsed in
+    bulk; any other input goes through `_read_rows`, which gives the same
+    result or names the offending line.
+    """
     if not os.path.exists(path):
         raise CliError(f"input file not found: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    parsed = _read_plain(text)
+    return _read_rows(path, text) if parsed is None else parsed
+
+
+def _read_plain(text: str) -> Optional[Tuple[Optional[List[str]], np.ndarray]]:
+    """Bulk parse of plain `value` or `date,value` rows; None for anything else.
+
+    Plain means: no quote, NUL or bare CR; no blank or whitespace-only row;
+    a header, if any, only on line 1; the same column count on every row;
+    every value finite.
+    """
+    # quotes are csv's to undo, a NUL is an error to csv before Python 3.11,
+    # and a bare CR splits a line
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final line ending
+    if lines:
+        try:
+            float(lines[0].rpartition(",")[2])
+        except ValueError:
+            del lines[0]  # header row
+    # loadtxt would skip an empty line, and raises on a whitespace-only one
+    if not lines or "" in lines:
+        return None
+    n_commas = lines[0].count(",")
+    if n_commas > 1 or set(map(str.count, lines, repeat(","))) != {n_commas}:
+        return None
+    try:
+        values = np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
+                            usecols=-1, ndmin=1)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    if n_commas == 0:
+        return None, values
+    # each line becomes its date in place, a chunk at a time, so that the
+    # lines and the dates never both exist in full
+    for start in range(0, len(lines), CSV_CHUNK_ROWS):
+        stop = start + CSV_CHUNK_ROWS
+        lines[start:stop] = [line.partition(",")[0] for line in lines[start:stop]]
+    return lines, values
+
+
+def _read_rows(path: str, text: str) -> Tuple[Optional[List[str]], np.ndarray]:
+    """The reference parse, one CSV row at a time; the source of `path:line:` errors."""
     dates: List[str] = []
     values: List[float] = []
     n_cols = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if lineno == 1:
-                try:
-                    float(row[-1])
-                except ValueError:
-                    continue  # header row
-            if n_cols is None:
-                n_cols = len(row)
-                if n_cols not in (1, 2):
-                    raise CliError(f"{path}:{lineno}: expected 1 or 2 columns, got {n_cols}")
-            if len(row) != n_cols:
-                raise CliError(f"{path}:{lineno}: inconsistent column count")
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if lineno == 1:
             try:
-                value = float(row[-1])
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: not a number: {row[-1]!r}") from exc
-            if not math.isfinite(value):
-                raise CliError(f"{path}:{lineno}: not a finite number: {row[-1]!r}")
-            values.append(value)
-            if n_cols == 2:
-                dates.append(row[0])
+                float(row[-1])
+            except ValueError:
+                continue  # header row
+        if n_cols is None:
+            n_cols = len(row)
+            if n_cols not in (1, 2):
+                raise CliError(f"{path}:{lineno}: expected 1 or 2 columns, got {n_cols}")
+        if len(row) != n_cols:
+            raise CliError(f"{path}:{lineno}: inconsistent column count")
+        try:
+            value = float(row[-1])
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: not a number: {row[-1]!r}") from exc
+        if not math.isfinite(value):
+            raise CliError(f"{path}:{lineno}: not a finite number: {row[-1]!r}")
+        values.append(value)
+        if n_cols == 2:
+            dates.append(row[0])
     if not values:
         raise CliError(f"no observations found in {path}")
     return (dates if dates else None), np.array(values)
@@ -172,8 +250,8 @@ def cmd_simulate(args) -> int:
         sample = simulate_path(kind, spec, pi, schedule, SimulationConfig(seed=args.seed + p))
         os.makedirs(args.out_dir, exist_ok=True)
         filename = os.path.join(args.out_dir, f"path_{p:04d}.csv")
-        _write_csv(filename, ["t", "value"],
-                   [[_fmt(t), _fmt(v)] for t, v in zip(schedule.times(), sample.values)])
+        _write_columns(filename, ["t", "value"], "%.17g,%.17g\r\n",
+                       [schedule.times().tolist(), sample.values.tolist()])
         paths.append(os.path.basename(filename))
         logger.info("wrote %s (%d observations)", filename, schedule.n_obs)
 
@@ -368,11 +446,13 @@ def cmd_fit(args) -> int:
     payload["acf_decay_exponent_step2"] = 1.0 - result.step2_estimate.alpha_pi
     os.makedirs(args.out_dir, exist_ok=True)
 
-    _write_csv(
-        os.path.join(args.out_dir, "series_used.csv"),
-        ["date", "value"],
-        zip(dates or range(1, fitted.size + 1), map("{:.17g}".format, fitted.tolist())),
-    )
+    series_used = os.path.join(args.out_dir, "series_used.csv")
+    joined = "".join(dates or ())
+    if any(char in joined for char in ',"\r\n'):  # dates that csv.writer quotes
+        _write_csv(series_used, ["date", "value"], zip(dates, map(_fmt, fitted.tolist())))
+    else:
+        _write_columns(series_used, ["date", "value"], "%s,%.17g\r\n",
+                       [dates or range(1, fitted.size + 1), fitted.tolist()])
     for step, rows in acf_rows.items():
         _write_csv(
             os.path.join(args.out_dir, f"acf_{step}.csv"),

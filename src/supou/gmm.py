@@ -180,6 +180,15 @@ def _estimation_series(data, kind: ModelKind) -> np.ndarray:
         raise DataError("observations must form a 1-d series")
     if not np.all(np.isfinite(x)):
         raise DataError("observations contain non-finite values")
+    if x.size:
+        # the weighting matrix sums n products of four values of z, which is
+        # x^2 for SV; above this magnitude the sums overflow
+        limit = (np.finfo(float).max / x.size) ** (0.125 if kind is ModelKind.SV else 0.25)
+        largest = float(np.abs(x).max())
+        if largest > limit:
+            raise DataError(f"observations too large in magnitude: |value| reaches "
+                            f"{largest:.3g}, and the moments of {x.size} observations "
+                            f"overflow above {limit:.3g}")
     return x * x if kind is ModelKind.SV else x
 
 
@@ -453,7 +462,7 @@ def _rescale_for_kind(alpha_pi: float, B: float, mean: float, var: float,
 
 def _require_dispersion(mean: float, var: float) -> None:
     # a numerically constant series has variance at rounding level only
-    if not (mean > 0.0 and var > (1e-12 * max(abs(mean), 1e-300)) ** 2):
+    if not (mean > 0.0 and math.sqrt(var) > 1e-12 * max(abs(mean), 1e-300)):
         raise InitializationError("degenerate series: nonpositive mean or no dispersion")
 
 

@@ -1,10 +1,15 @@
 """Command-line surface: file outputs, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from supou import (
@@ -18,8 +23,9 @@ from supou import (
     sample_jump_stream,
     simulate_path,
 )
+from supou.cli import CSV_CHUNK_ROWS, CliError, _read_plain, _read_rows, main, read_series
+from supou.descriptive import demean
 from supou.gmm import PARAMETER_BOX
-from supou.cli import main, read_series
 
 
 def run(argv):
@@ -28,6 +34,15 @@ def run(argv):
 
 def read(path):
     return path.read_bytes()
+
+
+def csv_writer_bytes(header, rows):
+    """What `csv.writer` writes for these rows, the reference for every CSV output."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
 
 
 class TestSimulate:
@@ -340,3 +355,150 @@ class TestNonFiniteInput:
         data.write_text(f"1.0\n{token}\n3.0\n")
         assert run([*mode, "--input", data, "--out-dir", tmp_path / "o"]) == 2
         assert f"{data}:2: not a finite number: '{token}'" in capsys.readouterr().err
+
+
+class TestHugeValues:
+    @pytest.mark.parametrize("model", ["supou", "integrated", "sv"])
+    def test_exit_2_names_the_overflow(self, tmp_path, capsys, model):
+        # the moments of values near 1e200 overflow; the dispersion check
+        # itself once raised OverflowError here
+        data = tmp_path / "huge.csv"
+        values = 1e200 * (1.0 + 0.1 * np.random.default_rng(1).random(300))
+        data.write_text("\n".join(map(repr, values.tolist())) + "\n")
+        out = tmp_path / "o"
+        assert run(["estimate", "--model", model, "--input", data, "--out-dir", out]) == 2
+        assert "observations too large in magnitude" in capsys.readouterr().err
+        assert not out.exists()
+
+
+PLAIN_VALUES = ["0.25", "-3", "+4", "1e5", " 1.0 ", "7.000000000000001e-05"]
+ODD_VALUES = ["nan", "inf", "-Infinity", "1_000", "x", "", " "]
+PLAIN_DATES = ["2020-01-02", "d", " t ", "", "1.5"]
+ODD_DATES = ['"2020-01-03, Fri"', '"say ""hi"""', '"a\nb"', " "]
+
+
+@st.composite
+def series_texts(draw):
+    """CSV text: plain `value` or `date,value` rows in half the draws, else any
+    mix of the shapes that the bulk reader leaves to the line loop."""
+    plain = draw(st.booleans())
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.sampled_from(PLAIN_VALUES if plain else PLAIN_VALUES + ODD_VALUES))
+    dates = st.sampled_from(PLAIN_DATES if plain else PLAIN_DATES + ODD_DATES)
+    n_cols = draw(st.integers(1, 2 if plain else 3))
+
+    def row(cols):
+        return ",".join([draw(dates) for _ in range(cols - 1)] + [draw(values)])
+
+    lines = [row(n_cols if plain else draw(st.sampled_from([n_cols, n_cols, 1, 2, 3])))
+             for _ in range(draw(st.integers(1 if plain else 0, 12)))]
+    if not plain:
+        for _ in range(draw(st.integers(0, 2))):
+            spot = draw(st.integers(0, len(lines)))
+            lines.insert(spot, draw(st.sampled_from(["", "  ", " , ", "date,value"])))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["date,value", "value", "t,value,extra"])))
+    endings = ["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"]
+    if draw(st.booleans()):
+        ending = draw(st.sampled_from(endings))
+        text = ending.join(lines)
+    else:
+        text = "".join(line + draw(st.sampled_from(endings)) for line in lines[:-1])
+        text += lines[-1] if lines else ""
+    if lines and draw(st.booleans()):
+        text += draw(st.sampled_from(endings))
+    return text
+
+
+def read_outcome(call):
+    try:
+        dates, values = call()
+    except CliError as exc:
+        return str(exc)
+    return dates, values.dtype, values.shape, values.tobytes()
+
+
+class TestReadSeries:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("read") / "series.csv"
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=series_texts())
+    def test_bulk_reader_matches_line_loop(self, path, text):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_outcome(lambda: read_series(str(path)))
+        assert got == read_outcome(lambda: _read_rows(str(path), text))
+
+    @pytest.mark.parametrize("text", [
+        "1.5\n2.5\n", "value\r\n1.5\r\n2.5\r\n", "date,value\n2020-01-01,1.5\n2020-01-02,-2",
+        "a,1\nb, 2 \n", "7\n",
+    ])
+    def test_plain_shapes_take_the_bulk_path(self, text):
+        assert _read_plain(text) is not None
+
+    @pytest.mark.parametrize("text", [
+        '"2020-01-01",1.5\n', "1.5\r2.5\r", "1.5\n\n2.5\n", "1.5\n  \n2.5\n", "a,1\n2\n",
+        "1,2,3\n", "1.5\nnan\n", "1_000\n", "1.5\nvalue\n", "", "value\n",
+    ])
+    def test_other_shapes_go_to_the_line_loop(self, text):
+        assert _read_plain(text) is None
+
+    @pytest.mark.parametrize("text, message", [
+        ("1.0\n2.0\nnan\n", ":3: not a finite number: 'nan'"),
+        ("a,1\nb,2,3\n", ":2: inconsistent column count"),
+        ("1,2,3\n", ":1: expected 1 or 2 columns, got 3"),
+        ("1.0\n\nvalue\n", ":3: not a number: 'value'"),
+        ("date,value\n", "no observations found in "),
+    ])
+    def test_errors_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        with pytest.raises(CliError, match=message) as exc:
+            read_series(str(path))
+        assert exc.value.code == 2
+
+
+def sv_returns(n, seed=3):
+    return simulate_path(ModelKind.SV, LevySpec.from_moments(0.015, 0.003), PiSpec(4.0, -0.1),
+                         ObservationSchedule(1.0, n), SimulationConfig(seed=seed)).values
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("n", [CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 7])
+    @pytest.mark.parametrize("labels", ["none", "plain", "comma", "quote"])
+    def test_series_used_matches_csv_writer(self, tmp_path, labels, n):
+        returns = sv_returns(n)
+        dates = {
+            "none": None,
+            "plain": [f"2020-{i:05d}" for i in range(n)],
+            "comma": [f"{i}, Mon" for i in range(n)],
+            "quote": [f'day "{i}"' for i in range(n)],
+        }[labels]
+        data = tmp_path / "returns.csv"
+        cells = [[repr(r)] for r in returns.tolist()]
+        if dates is not None:
+            cells = [[d, *c] for d, c in zip(dates, cells)]
+        data.write_bytes(csv_writer_bytes(["date", "value"][-len(cells[0]):], cells))
+        out = tmp_path / "fit"
+        assert run(["fit", "--returns", "--input", data, "--out-dir", out]) in (0, 3)
+        fitted = [f"{v:.17g}" for v in demean(returns).tolist()]
+        expected = csv_writer_bytes(["date", "value"],
+                                    zip(dates or range(1, n + 1), fitted))
+        assert read(out / "series_used.csv") == expected
+
+    @pytest.mark.parametrize("model", ["supou", "integrated", "sv"])
+    def test_path_file_matches_csv_writer(self, tmp_path, model):
+        n = CSV_CHUNK_ROWS + 3
+        out = tmp_path / "sim"
+        assert run(["simulate", "--model", model, "--n-obs", n, "--seed", 4,
+                    "--out-dir", out]) == 0
+        schedule = ObservationSchedule(1.0, n)
+        sample = simulate_path(ModelKind(model), LevySpec.from_moments(0.015, 0.003),
+                               PiSpec(4.0, -0.1), schedule, SimulationConfig(seed=4))
+        expected = csv_writer_bytes(["t", "value"], (
+            [f"{t:.17g}", f"{v:.17g}"] for t, v in zip(schedule.times(), sample.values)))
+        assert read(out / "path_0000.csv") == expected

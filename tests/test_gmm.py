@@ -446,6 +446,20 @@ class TestTwoStepGmm:
         with pytest.raises(InitializationError):
             two_step_gmm(np.full(100, 0.05), ModelKind.SUPOU)
 
+    def test_dispersion_check_takes_huge_means(self):
+        # squaring 1e-12 * mean overflowed a Python float above a mean of 1e166
+        from supou.gmm import _require_dispersion
+
+        with pytest.raises(InitializationError):
+            _require_dispersion(1e200, 1e300)
+        _require_dispersion(1e150, 1e300)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_overflowing_magnitude_is_a_data_error(self, kind):
+        x = 1e100 * (1.0 + 0.1 * np.random.default_rng(1).random(300))
+        with pytest.raises(DataError, match="too large in magnitude"):
+            two_step_gmm(x, kind)
+
     def test_kind_mismatch_rejected(self):
         with pytest.raises(DomainError):
             two_step_gmm(np.ones(100), ModelKind.SV, conditions=SUPOU_CONDS)
