@@ -132,8 +132,12 @@ def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
     """
     if not os.path.exists(path):
         raise CliError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # one read decodes the whole file, so the offset is the file's
+        raise CliError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
     parsed = _read_plain(text)
     return _read_rows(path, text) if parsed is None else parsed
 
@@ -266,34 +270,39 @@ def cmd_simulate(args) -> int:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _run_estimate(data: np.ndarray, conditions: MomentConditionSet) -> GmmResult:
-    """Cold-start two-step GMM on the estimation series (SV returns demeaned)."""
+def _run_estimate(args, series: np.ndarray) -> Tuple[np.ndarray, GmmResult, Dict]:
+    """Cold-start two-step GMM of `args.model` on a series.
+
+    Returns the data fitted (SV returns demeaned), the result and its JSON
+    payload.
+    """
+    kind = ModelKind(args.model)
+    conditions = _conditions_from_args(args, kind)
+    data = demean(series) if kind is ModelKind.SV else series
     try:
-        return two_step_gmm(data, conditions.kind, conditions=conditions)
+        result = two_step_gmm(data, kind, conditions=conditions)
     except DataError as exc:
         raise CliError(f"estimation failed: {exc}") from exc
     except (InitializationError, ParameterError) as exc:
         raise CliError(f"estimation failed: {exc}", code=EXIT_NONCONVERGED) from exc
+    return data, result, result.to_dict(annualize_factor=args.annualize_factor)
+
+
+def _finish_estimate(args, data: np.ndarray, result: GmmResult, payload: Dict) -> int:
+    """Write `<command>.json` and the manifest; exit 0, or 3 if step 2 did not converge."""
+    _write_json(os.path.join(args.out_dir, f"{args.command}.json"), payload)
+    extra = {"command": args.command, "n_observations": int(data.size)}
+    _write_json(os.path.join(args.out_dir, "manifest.json"), _manifest(args, extra))
+    logger.info("%s complete: step-2 %s (converged: %s)", args.command,
+                asdict(result.step2_estimate), result.converged_step2)
+    return EXIT_OK if result.converged_step2 else EXIT_NONCONVERGED
 
 
 def cmd_estimate(args) -> int:
-    kind = ModelKind(args.model)
     _, series = read_series(args.input)
-    conditions = _conditions_from_args(args, kind)
-    result = _run_estimate(demean(series) if kind is ModelKind.SV else series, conditions)
-    payload = result.to_dict(annualize_factor=args.annualize_factor)
+    data, result, payload = _run_estimate(args, series)
     os.makedirs(args.out_dir, exist_ok=True)
-
-    _write_json(os.path.join(args.out_dir, "estimate.json"), payload)
-    _write_json(
-        os.path.join(args.out_dir, "manifest.json"),
-        _manifest(args, {"command": "estimate", "n_observations": int(series.size)}),
-    )
-    logger.info(
-        "step-2 estimate %s (converged: %s)",
-        asdict(result.step2_estimate), result.converged_step2,
-    )
-    return EXIT_OK if result.converged_step2 else EXIT_NONCONVERGED
+    return _finish_estimate(args, data, result, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +435,8 @@ def cmd_fit(args) -> int:
         series = raw
     if series.size < 3:
         raise CliError("need at least 3 observations after differencing")
-    fitted = demean(series) if kind is ModelKind.SV else series
-    result = _run_estimate(fitted, _conditions_from_args(args, kind))
+    fitted, result, payload = _run_estimate(args, series)
+    payload["acf_decay_exponent_step2"] = 1.0 - result.step2_estimate.alpha_pi
 
     # empirical curves are for the estimation series (squared returns for SV)
     target = fitted * fitted if kind is ModelKind.SV else fitted
@@ -442,8 +451,6 @@ def cmd_fit(args) -> int:
              _fmt(emp_acov[i] / emp_var), _fmt(model_acov[i] / model_var)]
             for i, h in enumerate(lags)
         ]
-    payload = result.to_dict(annualize_factor=args.annualize_factor)
-    payload["acf_decay_exponent_step2"] = 1.0 - result.step2_estimate.alpha_pi
     os.makedirs(args.out_dir, exist_ok=True)
 
     series_used = os.path.join(args.out_dir, "series_used.csv")
@@ -459,16 +466,7 @@ def cmd_fit(args) -> int:
             ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"],
             rows,
         )
-    _write_json(os.path.join(args.out_dir, "fit.json"), payload)
-    _write_json(
-        os.path.join(args.out_dir, "manifest.json"),
-        _manifest(args, {"command": "fit", "n_observations": int(series.size)}),
-    )
-    logger.info(
-        "fit complete: step-2 %s (converged: %s)",
-        asdict(result.step2_estimate), result.converged_step2,
-    )
-    return EXIT_OK if result.converged_step2 else EXIT_NONCONVERGED
+    return _finish_estimate(args, fitted, result, payload)
 
 
 # ---------------------------------------------------------------------------

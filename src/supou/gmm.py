@@ -196,23 +196,18 @@ def _moment_targets(beta: ParamVector, conditions: MomentConditionSet) -> np.nda
     """Model values of (E z, E z^2, E z_1 z_{1+h} ...) for the estimation series z."""
     kind, delta = conditions.kind, conditions.delta
     lags = np.asarray(conditions.lags, dtype=float)
-    out = np.empty(conditions.d)
+    # mean, variance and autocovariances of X, or of V for both other kinds
     if kind is ModelKind.SUPOU:
         mean = supou_mean(beta)
         var = supou_var(beta)
-        out[0] = mean
-        out[1] = mean * mean + var
-        out[2:] = mean * mean + supou_acov(beta, lags * delta)
+        acov = supou_acov(beta, lags * delta)
     else:
         mean = intsupou_mean(beta, delta)
         var = intsupou_var(beta, delta)
-        out[0] = mean
-        # squared SV returns have E(Y^4) = 3 E(V^2)
-        out[1] = 3.0 * (var + mean * mean) if kind is ModelKind.SV else mean * mean + var
-        out[2:] = mean * mean + beta.sigma2 * _int_acov_units(
-            beta.alpha_pi, beta.B, delta, lags
-        )
-    return out
+        acov = beta.sigma2 * _int_acov_units(beta.alpha_pi, beta.B, delta, lags)
+    # squared SV returns have E(Y^4) = 3 E(V^2)
+    second = 3.0 * (var + mean * mean) if kind is ModelKind.SV else mean * mean + var
+    return np.concatenate(([mean, second], mean * mean + acov))
 
 
 def _moment_jacobian(beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
@@ -466,13 +461,13 @@ def _require_dispersion(mean: float, var: float) -> None:
         raise InitializationError("degenerate series: nonpositive mean or no dispersion")
 
 
-def _moment_matched_start(data, conditions: MomentConditionSet) -> ParamVector:
+def _moment_matched_start(z: np.ndarray, conditions: MomentConditionSet) -> ParamVector:
     """Crude default start: fixed acf shape, mean/variance matched to the data.
 
-    Raises DomainError naming delta when the moment formulas cannot be
-    evaluated at the start, B = -0.1 / delta.
+    z is the estimation series of `_estimation_series`.  Raises DomainError
+    naming delta when the moment formulas cannot be evaluated at the start,
+    B = -0.1 / delta.
     """
-    z = _estimation_series(data, conditions.kind)
     mean, var = sample_mean(z), sample_var(z)
     _require_dispersion(mean, var)
     delta = conditions.delta
@@ -508,12 +503,10 @@ def initial_estimate(data, conditions: MomentConditionSet) -> ParamVector:
     try:
         rho1, rho2 = sample_acf(z, 1), sample_acf(z, 2)
         base = closed_form_init(mean, var, rho1, rho2, delta, 2.0 * delta)
-        if conditions.kind is ModelKind.SUPOU:
-            return base
         return _rescale_for_kind(base.alpha_pi, base.B, mean, var,
                                  conditions.kind, delta)
     except (InitializationError, ParameterError, DataError):
-        return _moment_matched_start(data, conditions)
+        return _moment_matched_start(z, conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +560,7 @@ def two_step_gmm(
     base = _moment_columns(z, conditions).mean(axis=0)
     n_used = z.size - conditions.m
     if start is None:
-        start = _moment_matched_start(data, conditions)
+        start = _moment_matched_start(z, conditions)
     center = transform(start)
 
     theta1, stop1 = minimize(*_residuals(base, np.eye(conditions.d), conditions), center, center)

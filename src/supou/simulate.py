@@ -152,16 +152,11 @@ class PathSample:
             )
 
 
-def _jump_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-
-
-def _brownian_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-
-
-def _prewindow_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+def _rng(seed: int, key: int) -> np.random.Generator:
+    # independent substreams of one seed, by spawn key: 0 the in-window
+    # jumps, 1 the SV shocks, 2 a recovery study's start jitter
+    # (`cli._study_one_path`), 3 the jumps born before the window
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
 def sample_jump_stream(
@@ -201,7 +196,7 @@ def sample_jump_stream(
             f"the jump rate, horizon or 1/(|B| (alpha_pi - 1)) is too large"
         )
 
-    rng = _jump_rng(seed)
+    rng = _rng(seed, 0)
     block = int(expected + 6.0 * math.sqrt(expected + 1.0)) + 64
     arrivals = np.cumsum(rng.exponential(1.0 / spec.rate, size=block))
     while arrivals[-1] < span:
@@ -213,7 +208,7 @@ def sample_jump_stream(
     sizes = rng.gamma(spec.jump_shape, 1.0 / spec.jump_rate, size=n)
     rates = pi.B * rng.gamma(pi.alpha_pi, 1.0, size=n)
 
-    rng = _prewindow_rng(seed)
+    rng = _rng(seed, 3)
     m = rng.poisson(expected_before)
     sizes_before = (rng.gamma(spec.jump_shape, 1.0 / spec.jump_rate, size=m)
                     * np.exp(rng.uniform(math.log(_REL_CUTOFF), 0.0, size=m)))
@@ -326,7 +321,7 @@ def simulate_sv_logreturns(
     `integrate_supou`; the Z_n come from a substream of config.seed that is
     independent of the jump draws.
     """
-    shocks = _brownian_rng(config.seed).standard_normal(schedule.n_obs)
+    shocks = _rng(config.seed, 1).standard_normal(schedule.n_obs)
     return PathSample(schedule, np.sqrt(integrate_supou(jumps, schedule).values) * shocks)
 
 

@@ -357,6 +357,38 @@ class TestNonFiniteInput:
         assert f"{data}:2: not a finite number: '{token}'" in capsys.readouterr().err
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("mode", [["estimate"], ["fit", "--returns"]])
+    def test_exit_2_names_the_file(self, tmp_path, capsys, mode):
+        # a Latin-1 e-acute at byte offset 14
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"date,value\ncaf\xe9,1.0\n")
+        out = tmp_path / "o"
+        assert run([*mode, "--input", data, "--out-dir", out]) == 2
+        assert f"{data}: not valid UTF-8 at byte offset 14" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEstimateMatchesFit:
+    """`estimate` and `fit --returns` share one estimation pipeline."""
+
+    @pytest.mark.parametrize("annualize", [[], ["--annualize-factor", 252]])
+    @pytest.mark.parametrize("model", ["supou", "integrated", "sv"])
+    def test_same_payload(self, tmp_path, model, annualize):
+        data = tmp_path / "series.csv"
+        sample = simulate_path(ModelKind(model), LevySpec.from_moments(0.015, 0.003),
+                               PiSpec(4.0, -0.1), ObservationSchedule(1.0, 1500),
+                               SimulationConfig(seed=6))
+        data.write_text("\n".join(map(repr, sample.values.tolist())) + "\n")
+        common = ["--model", model, "--input", data, "--lags", "1,2,3,5", *annualize]
+        code = run(["estimate", *common, "--out-dir", tmp_path / "est"])
+        assert run(["fit", "--returns", *common, "--out-dir", tmp_path / "fit"]) == code
+        estimate = json.loads((tmp_path / "est" / "estimate.json").read_text())
+        fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        del fit["acf_decay_exponent_step2"]
+        assert fit == estimate
+
+
 class TestHugeValues:
     @pytest.mark.parametrize("model", ["supou", "integrated", "sv"])
     def test_exit_2_names_the_overflow(self, tmp_path, capsys, model):

@@ -98,6 +98,22 @@ class TestJumpStream:
         c = sample_jump_stream(SPEC, PI, window, seed=8)
         assert not np.array_equal(a.times, c.times)
 
+    def test_seeded_values_pinned(self):
+        # literal draws of seed 7: the 8 jumps born before the window enter
+        # at its start, then the first jumps born inside it
+        stream = sample_jump_stream(SPEC, PI, (-2000.0, 1000.0), seed=7)
+        assert len(stream) == 253
+        assert_array_equal(stream.times[:9], [-2000.0] * 8 + [-1988.02658960082])
+        assert_array_equal(stream.times[9:11], [-1987.344608232454, -1965.7650497728005])
+        assert_array_equal(stream.sizes[:3], [7.089269641159885e-12, 1.0768580545236943e-12,
+                                              1.3388676479596478e-07])
+        assert_array_equal(stream.sizes[8:11], [0.35535051868612255, 0.06965430470794078,
+                                                0.20600712355108064])
+        assert_array_equal(stream.rates[:3], [-0.3350639966999796, -0.6132293077704998,
+                                              -0.32236126386368535])
+        assert_array_equal(stream.rates[8:11], [-0.3867216067162272, -0.21586420675308823,
+                                                -0.2417264854368568])
+
     def test_poisson_count_concentration(self):
         stream = sample_jump_stream(SPEC, PI, (0.0, 1e5), seed=3)
         assert abs(len(stream) - 1e4) <= 4.0 * math.sqrt(1e4)
@@ -272,6 +288,14 @@ class TestSvReturns:
         a = simulate_path(ModelKind.SV, SPEC, PI, sched, SimulationConfig(seed=33))
         b = simulate_path(ModelKind.SV, SPEC, PI, sched, SimulationConfig(seed=33))
         assert_array_equal(a.values, b.values)
+
+    def test_seeded_values_pinned(self):
+        sched = ObservationSchedule(1.0, 200)
+        path = simulate_path(ModelKind.SV, SPEC, PI, sched, SimulationConfig(seed=33))
+        assert_array_equal(path.values[:5], [
+            0.023116281540679063, -0.03344823852649957, 0.005004377551483813,
+            -0.0040465367236763835, -0.1623768737015056,
+        ])
 
     def test_exact_given_volatility(self):
         # given the jumps, Y_n = sqrt(V_n) Z_n with V_n the interval integrals
