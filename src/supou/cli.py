@@ -138,6 +138,9 @@ def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
     except UnicodeDecodeError as exc:
         # one read decodes the whole file, so the offset is the file's
         raise CliError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
+    # a byte-order mark, as spreadsheet exports write, is not part of line 1;
+    # utf-8-sig would drop it as well, but counts decode offsets after it
+    text = text.removeprefix("\ufeff")
     parsed = _read_plain(text)
     return _read_rows(path, text) if parsed is None else parsed
 
@@ -298,8 +301,16 @@ def _finish_estimate(args, data: np.ndarray, result: GmmResult, payload: Dict) -
     return EXIT_OK if result.converged_step2 else EXIT_NONCONVERGED
 
 
+def _read_input(args) -> Tuple[Optional[List[str]], np.ndarray]:
+    """`read_series` of --input, once the flags that need no data are valid."""
+    factor = args.annualize_factor
+    if factor is not None and not (math.isfinite(factor) and factor > 0.0):
+        raise CliError(f"--annualize-factor must be finite and > 0, got {factor}")
+    return read_series(args.input)
+
+
 def cmd_estimate(args) -> int:
-    _, series = read_series(args.input)
+    _, series = _read_input(args)
     data, result, payload = _run_estimate(args, series)
     os.makedirs(args.out_dir, exist_ok=True)
     return _finish_estimate(args, data, result, payload)
@@ -425,7 +436,7 @@ def _model_curves(kind: ModelKind, beta: ParamVector, delta: float,
 
 def cmd_fit(args) -> int:
     kind = ModelKind(args.model)
-    dates, raw = read_series(args.input)
+    dates, raw = _read_input(args)
     if args.prices:
         if np.any(raw <= 0.0):
             raise CliError("price series must be strictly positive to take log returns")

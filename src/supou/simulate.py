@@ -18,6 +18,11 @@ is at most 1e-15 of their size are not drawn (in expectation 1e-15 of the
 stationary mean), and the jump sums leave out only terms whose total is at
 most 1e-15 of the sum at every time, a bound relative to the sum that holds
 because every term is positive.
+
+The jump sums are taken on the equidistant observation grid, 32 x 32 times
+at a time: exp(A (t - tau)) factors into an exponential at the start of t's
+row of 32 times and one of t's offset in that row, so a block of 1,024 sums
+is one small matrix product and costs 64 exponentials per jump it keeps.
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ _REL_CUTOFF = 1e-15
 # take 24 bytes per jump, 2.4 GB at the bound.
 _MAX_EXPECTED_JUMPS = 1e8
 
-_TIME_CHUNK = 512
+# a chunk of the grid is viewed as _ROWS x _COLS times (see _jump_sum)
+_ROWS, _COLS = 32, 32
 
 
 @dataclass(frozen=True)
@@ -223,41 +229,42 @@ def sample_jump_stream(
     )
 
 
-def _check_times_in_window(t: np.ndarray, jumps: JumpStream) -> None:
-    if t.size == 0:
-        return
-    if np.any(np.diff(t) < 0.0):
-        raise DomainError("evaluation times must be nondecreasing")
-    if t[0] < jumps.window_start or t[-1] > jumps.window_end:
-        raise DomainError(
-            f"times [{t[0]}, {t[-1]}] fall outside the jump window "
-            f"[{jumps.window_start}, {jumps.window_end}]"
-        )
+def _jump_sum(jumps: JumpStream, weights: np.ndarray, first: int, n: int,
+              step: float) -> np.ndarray:
+    """Sum S(t) of w_i exp(A_i (t - tau_i)) over jumps with tau_i <= t, on a grid.
 
+    The one kernel, for positive weights, at the n times t_k = step * (first
+    + k).  The times are cut into chunks of _ROWS x _COLS, one row per
+    _COLS consecutive times.  At the time b steps into the row that starts
+    at s, a term factors as w exp(A (s - tau)) * exp(A b step): a left
+    factor per row and a right factor per column.  So a chunk's block of
+    sums is one small GEMM, left^T @ right over the jumps, and each jump
+    costs _ROWS + _COLS exponentials per chunk instead of one per time.  A
+    jump born inside the chunk has a left factor of 0 on the rows that
+    start before it, and the part of its birth row at or after it is added
+    term by term, each row by a one-hot GEMM.
 
-def _jump_sum(jumps: JumpStream, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Sum of w_i exp(A_i (t - tau_i)) over jumps with tau_i <= t, at each time t.
-
-    The one dense kernel, for positive weights: times are processed in chunks
-    [t0, t1].  The jumps born by t0 give a floor L = sum of w_i exp(A_i (t1 -
-    tau_i)) on the whole chunk, since every term is positive and decreasing:
-    L <= S(t), the full sum, for every t in [t0, t1].  The smallest of those
-    jumps, ranked by their value at t0, are dropped while their summed value
-    at t0 stays <= _REL_CUTOFF * L, so the dropped mass is at most
-    _REL_CUTOFF * S(t) at every t of the chunk.
+    The cutoff: the jumps born by the chunk's first time t0 give a floor L
+    = sum of w_i exp(A_i (t1 - tau_i)) on the whole chunk, t1 its last time,
+    since every term is positive and decreasing: L <= S(t) for every t in
+    [t0, t1].  The smallest of those jumps, ranked by their value at t0, are
+    dropped while their summed value at t0 stays <= _REL_CUTOFF * L, so the
+    dropped mass is at most _REL_CUTOFF * S(t) at every t of the chunk.
     """
-    out = np.zeros(t.size)
-    if len(jumps) == 0 or t.size == 0:
-        return out
-
+    size = _ROWS * _COLS
+    # the grid padded to whole rows; the values past its n-th time are cut off
+    grid = step * np.arange(first, first + -(-n // _COLS) * _COLS)
+    out = np.zeros(grid.size)
     tau, rates = jumps.times, jumps.rates
-    for i0 in range(0, t.size, _TIME_CHUNK):
-        tc = t[i0:i0 + _TIME_CHUNK]
-        t0, t1 = tc[0], tc[-1]
-        old = int(np.searchsorted(tau, t0, side="right"))
-        hi = int(np.searchsorted(tau, t1, side="right"))
+    lag = step * np.arange(_COLS)
+    for i0 in range(0, n, size):
+        times = grid[i0:i0 + size].reshape(-1, _COLS)
+        starts = times[:, 0]
+        t0, t1 = starts[0], grid[min(i0 + size, n) - 1]
+        old, hi = np.searchsorted(tau, (t0, t1), side="right").tolist()
+        block = np.zeros(times.shape)
+        left, left_rates = [], []
         if old:
-            # terms at t0; the chunk's values are these times exp(A (t - t0))
             at_t0 = weights[:old] * np.exp(rates[:old] * (t0 - tau[:old]))
             floor = at_t0 @ np.exp(rates[:old] * (t1 - t0))
             ranked = np.sort(at_t0)
@@ -266,25 +273,43 @@ def _jump_sum(jumps: JumpStream, weights: np.ndarray, t: np.ndarray) -> np.ndarr
             if dropped < old:
                 # ties with the smallest kept value are kept too
                 keep = at_t0 >= ranked[dropped]
-                out[i0:i0 + tc.size] = (np.exp(np.outer(tc - t0, rates[:old][keep]))
-                                        @ at_t0[keep])
+                a = rates[:old][keep]
+                left.append(at_t0[keep][:, None] * np.exp(np.outer(a, starts - t0)))
+                left_rates.append(a)
         if hi > old:
-            dt = tc[:, None] - tau[None, old:hi]
-            exponent = np.where(dt >= 0.0, rates[None, old:hi] * dt, -np.inf)
-            out[i0:i0 + tc.size] += np.exp(exponent) @ weights[old:hi]
-    return out
+            a, w, born = rates[old:hi], weights[old:hi], tau[old:hi]
+            dt = starts - born[:, None]
+            left.append(w[:, None] * np.exp(a[:, None] * dt, where=dt >= 0.0,
+                                            out=np.zeros(dt.shape)))
+            left_rates.append(a)
+            # the last row that starts before the jump is its birth row
+            row = np.searchsorted(starts, born, side="left") - 1
+            dt = times[row] - born[:, None]
+            birth = w[:, None] * np.exp(a[:, None] * dt, where=dt >= 0.0,
+                                        out=np.zeros(dt.shape))
+            block += (row == np.arange(starts.size)[:, None]) @ birth
+        if left:
+            right = np.exp(np.outer(np.concatenate(left_rates), lag))
+            block += np.concatenate(left).T @ right
+        out[i0:i0 + block.size] = block.ravel()
+    return out[:n]
 
 
-def evaluate_supou(jumps: JumpStream, times) -> np.ndarray:
-    """Evaluate X(t) = sum of U_i exp(A_i (t - tau_i)) over jumps with tau_i <= t.
+def evaluate_supou(jumps: JumpStream, schedule: ObservationSchedule) -> PathSample:
+    """X(t) = sum of U_i exp(A_i (t - tau_i)) over jumps with tau_i <= t.
 
-    Exact for the realized stream up to a relative 1e-15: the terms skipped
-    sum to at most 1e-15 * X(t) at every t (see `_jump_sum`).  Times must be
-    nondecreasing and inside the stream window.
+    Evaluated at the schedule's times delta, 2 delta, ..., n_obs delta,
+    which must lie inside the stream window.  Exact for the realized stream
+    up to a relative 1e-15 plus rounding: the terms skipped sum to at most
+    1e-15 * X(t) at every t (see `_jump_sum`).
     """
-    t = np.ascontiguousarray(times, dtype=float)
-    _check_times_in_window(t, jumps)
-    return _jump_sum(jumps, jumps.sizes, t)
+    if schedule.delta < jumps.window_start or schedule.horizon > jumps.window_end:
+        raise DomainError(
+            f"times [{schedule.delta}, {schedule.horizon}] fall outside the jump window "
+            f"[{jumps.window_start}, {jumps.window_end}]"
+        )
+    return PathSample(schedule, _jump_sum(jumps, jumps.sizes, 1, schedule.n_obs,
+                                          schedule.delta))
 
 
 def integrate_supou(jumps: JumpStream, schedule: ObservationSchedule) -> PathSample:
@@ -299,7 +324,8 @@ def integrate_supou(jumps: JumpStream, schedule: ObservationSchedule) -> PathSam
     if edges[0] < jumps.window_start or edges[-1] > jumps.window_end:
         raise DomainError("integration intervals fall outside the jump window")
     tau, sizes, rates = jumps.times, jumps.sizes, jumps.rates
-    values = _jump_sum(jumps, sizes * np.expm1(rates * schedule.delta) / rates, edges[:-1])
+    values = _jump_sum(jumps, sizes * np.expm1(rates * schedule.delta) / rates, 0,
+                       schedule.n_obs, schedule.delta)
     # interval (edges[k], edges[k+1]] of each jump; -1 and n_obs lie outside
     k = np.searchsorted(edges, tau, side="left") - 1
     born = (k >= 0) & (k < schedule.n_obs)
@@ -340,7 +366,7 @@ def simulate_path(
     window = (-config.truncation_lead, schedule.horizon)
     jumps = sample_jump_stream(spec, pi, window, config.seed)
     if kind is ModelKind.SUPOU:
-        return PathSample(schedule, evaluate_supou(jumps, schedule.times()))
+        return evaluate_supou(jumps, schedule)
     if kind is ModelKind.INTEGRATED:
         return integrate_supou(jumps, schedule)
     if kind is ModelKind.SV:

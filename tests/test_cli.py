@@ -301,7 +301,7 @@ class TestFailedCommandWritesNothing:
     ], ids=["sim-delta", "sim-jump-bound", "study-jump-bound", "est-annualize", "fit-annualize",
             "fit-acf-lags"])
     def test_exit_2_and_no_out_dir(self, tmp_path, argv):
-        # estimate and fit reach their invalid value only after estimating
+        # fit reaches an invalid --acf-lags only after estimating
         data = tmp_path / "returns.csv"
         y = simulate_path(ModelKind.SV, LevySpec.from_moments(0.015, 0.003), PiSpec(4.0, -0.1),
                           ObservationSchedule(1.0, 300), SimulationConfig(seed=2)).values
@@ -366,6 +366,20 @@ class TestNonUtf8Input:
         out = tmp_path / "o"
         assert run([*mode, "--input", data, "--out-dir", out]) == 2
         assert f"{data}: not valid UTF-8 at byte offset 14" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestAnnualizeFactor:
+    @pytest.mark.parametrize("factor", [0, -252, "nan", "inf"])
+    @pytest.mark.parametrize("mode", [["estimate"], ["fit", "--returns"]])
+    def test_rejected_before_the_input_is_read(self, tmp_path, capsys, mode, factor):
+        # the input does not exist, so an error naming it was raised later
+        out = tmp_path / "o"
+        assert run([*mode, "--input", tmp_path / "missing.csv", "--annualize-factor", factor,
+                    "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "--annualize-factor must be finite and > 0" in err
+        assert "missing.csv" not in err
         assert not out.exists()
 
 
@@ -478,6 +492,22 @@ class TestReadSeries:
     ])
     def test_other_shapes_go_to_the_line_loop(self, text):
         assert _read_plain(text) is None
+
+    @pytest.mark.parametrize("data", [b"0.5\n0.25\n0.75\n", b'"0.5"\n0.25\n0.75\n'],
+                             ids=["bulk", "line-loop"])
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, data):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+        dates, values = read_series(str(path))
+        assert dates is None
+        assert_array_equal(values, [0.5, 0.25, 0.75])
+
+    def test_byte_order_mark_keeps_the_decode_offset(self, tmp_path):
+        # a Latin-1 e-acute at byte offset 17 of the file, 14 after the mark
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,value\ncaf\xe9,1.0\n")
+        with pytest.raises(CliError, match="not valid UTF-8 at byte offset 17"):
+            read_series(str(path))
 
     @pytest.mark.parametrize("text, message", [
         ("1.0\n2.0\nnan\n", ":3: not a finite number: 'nan'"),

@@ -57,12 +57,17 @@ def dense_evaluate(stream, t, block=500):
 
 
 def dense_integrate(stream, schedule, block=500):
-    """V_n from every jump born before the interval's end, with no cutoff."""
-    a_all = schedule.delta * np.arange(schedule.n_obs)
+    """V_n from every jump born before the interval's end, with no cutoff.
+
+    The intervals end at the edges delta * n as `integrate_supou` computes
+    them: a jump born within an ulp of an edge makes V_n sensitive to that
+    ulp, so a + delta, which can differ from it by one, is not used.
+    """
+    edges = schedule.delta * np.arange(schedule.n_obs + 1)
     out = np.empty(schedule.n_obs)
-    for i in range(0, a_all.size, block):
-        a = a_all[i:i + block, None]
-        b = a + schedule.delta
+    for i in range(0, schedule.n_obs, block):
+        a = edges[:-1][i:i + block, None]
+        b = edges[1:][i:i + block, None]
         lo = np.maximum(a, stream.times[None, :])
         rates = stream.rates
         terms = (stream.sizes / rates * np.exp(rates * (lo - stream.times))
@@ -141,18 +146,20 @@ class TestJumpStream:
 class TestEvaluate:
     def test_single_jump(self):
         stream = single_jump_stream()
-        assert_allclose(evaluate_supou(stream, [2.0]), [math.exp(-1.0)], rtol=1e-14)
+        x = evaluate_supou(stream, ObservationSchedule(2.0, 1)).values
+        assert_allclose(x, [math.exp(-1.0)], rtol=1e-14)
 
     def test_empty_stream(self):
-        assert_array_equal(evaluate_supou(empty_stream(), [0.0, 1.0, 2.0]), np.zeros(3))
+        assert_array_equal(evaluate_supou(empty_stream(), ObservationSchedule(1.0, 3)).values,
+                           np.zeros(3))
 
     def test_before_jump_is_zero(self):
         stream = single_jump_stream(tau=5.0)
-        assert_array_equal(evaluate_supou(stream, [1.0, 4.9]), np.zeros(2))
+        assert_array_equal(evaluate_supou(stream, ObservationSchedule(1.0, 4)).values, np.zeros(4))
 
     def test_positivity(self):
         stream = sample_jump_stream(SPEC, PI, (-2000.0, 100.0), seed=2)
-        values = evaluate_supou(stream, np.arange(1.0, 101.0))
+        values = evaluate_supou(stream, ObservationSchedule(1.0, 100)).values
         assert np.all(values > 0.0)
 
     def test_path_mean_near_theory(self):
@@ -164,11 +171,11 @@ class TestEvaluate:
         assert abs(x.mean() - supou_mean(BETA)) <= 3.0 * se
 
     def test_times_outside_window_rejected(self):
-        stream = single_jump_stream(window=(0.0, 5.0))
+        stream = single_jump_stream(tau=3.0, window=(2.0, 5.0))
         with pytest.raises(DomainError):
-            evaluate_supou(stream, [-1.0])
+            evaluate_supou(stream, ObservationSchedule(1.0, 1))
         with pytest.raises(DomainError):
-            evaluate_supou(stream, [6.0])
+            evaluate_supou(stream, ObservationSchedule(6.0, 1))
 
 
 class TestKernelCutoff:
@@ -179,7 +186,7 @@ class TestKernelCutoff:
         pi = PiSpec.from_params(ParamVector(0.015, 0.003, alpha_pi, -0.1))
         sched = ObservationSchedule(1.0, 10_000)
         stream = sample_jump_stream(SPEC, pi, (-2000.0, sched.horizon), seed=1)
-        x = evaluate_supou(stream, sched.times())
+        x = evaluate_supou(stream, sched).values
         x_ref = dense_evaluate(stream, sched.times())
         assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-12
         v = integrate_supou(stream, sched).values
@@ -199,13 +206,47 @@ class TestKernelCutoff:
             window_start=-1000.0,
             window_end=100.0,
         )
-        t = np.linspace(0.0, 100.0, 2001)
-        x = evaluate_supou(stream, t)
-        x_ref = dense_evaluate(stream, t)
+        grid = ObservationSchedule(0.05, 2000)
+        x = evaluate_supou(stream, grid).values
+        x_ref = dense_evaluate(stream, grid.times())
         assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-12
         sched = ObservationSchedule(0.5, 200)
         v = integrate_supou(stream, sched).values
         v_ref = dense_integrate(stream, sched)
+        assert np.max(np.abs(v - v_ref) / v_ref) <= 1e-12
+
+
+class TestGridKernel:
+    """The block kernel at the edges of its rows and chunks, against dense references."""
+
+    @pytest.mark.parametrize("B", [-0.1, -1.0])
+    @pytest.mark.parametrize("n", [1, 20, 1000, 2500])
+    @pytest.mark.parametrize("step", [0.05, 1.0, 7.0])
+    def test_matches_dense_reference(self, step, n, B):
+        sched = ObservationSchedule(step, n)
+        drawn = sample_jump_stream(SPEC, PiSpec(1.95, B), (-2000.0, sched.horizon), seed=n)
+        # extra jumps exactly on grid times step * k: an arbitrary one, and the
+        # starts of the second and third rows of 32 and of the second chunk of
+        # 1024, for both grids (evaluate_supou's times start at k = 1,
+        # integrate_supou's left edges at k = 0)
+        on_grid = step * np.array([k for k in (3, 32, 33, 64, 65, 1024, 1025) if k <= n],
+                                  dtype=float)
+        times = np.concatenate([drawn.times, on_grid])
+        order = np.argsort(times, kind="stable")
+        stream = JumpStream(
+            times=times[order],
+            sizes=np.concatenate([drawn.sizes, np.full(on_grid.size, 0.2)])[order],
+            rates=np.concatenate([drawn.rates, np.full(on_grid.size, 3.0 * B)])[order],
+            window_start=drawn.window_start,
+            window_end=drawn.window_end,
+        )
+        x = evaluate_supou(stream, sched).values
+        x_ref = dense_evaluate(stream, sched.times())
+        assert np.all(x_ref > 0.0)
+        assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-12
+        v = integrate_supou(stream, sched).values
+        v_ref = dense_integrate(stream, sched)
+        assert np.all(v_ref > 0.0)
         assert np.max(np.abs(v - v_ref) / v_ref) <= 1e-12
 
 
@@ -313,16 +354,17 @@ class TestStationaryStart:
     """The jumps born before the window, drawn from their exact law."""
 
     def test_mean_at_start_is_stationary(self):
-        # without them X(0) would be 0.41 of the stationary mean here
+        # without them X(1) would be about 0.41 of the stationary mean here
         beta = ParamVector(0.015, 0.003, 1.1, -0.1)
         spec = LevySpec.from_moments(beta.mu, beta.sigma2)
         pi = PiSpec.from_params(beta)
-        x0 = np.array([
-            evaluate_supou(sample_jump_stream(spec, pi, (-2000.0, 1.0), seed), [0.0])[0]
+        x1 = np.array([
+            evaluate_supou(sample_jump_stream(spec, pi, (-2000.0, 1.0), seed),
+                           ObservationSchedule(1.0, 1)).values[0]
             for seed in range(400)
         ])
-        se = x0.std(ddof=1) / math.sqrt(x0.size)
-        assert abs(x0.mean() - supou_mean(beta)) <= 3.0 * se
+        se = x1.std(ddof=1) / math.sqrt(x1.size)
+        assert abs(x1.mean() - supou_mean(beta)) <= 3.0 * se
 
     def test_alpha_near_one(self):
         # R ~ Gamma(0.01, 1) underflows to 0 in about 5.7e-4 of numpy's draws;
