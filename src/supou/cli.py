@@ -5,8 +5,10 @@ A subcommand creates its output directory only after its inputs are
 validated and its outputs computed (simulate's path files excepted: each is
 written as it is drawn, the directory with the first), so a command that
 fails leaves none.
-All file outputs are UTF-8; CSVs use CRLF line endings and full float64
-precision so reruns with the same seed are byte-identical.
+All file outputs are UTF-8. Every CSV goes through `_write_csv`, which
+writes what the csv module's default writer would: CRLF line endings,
+minimal quoting; floats at full float64 precision, so reruns with the
+same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .moments import (
     sv_sqret_var,
 )
 from .params import ModelKind, ObservationSchedule, ParamVector, PiSpec
-from .simulate import LevySpec, SimulationConfig, simulate_path
+from .simulate import LevySpec, SimulationConfig, _rng, simulate_path
 
 logger = logging.getLogger("supou.cli")
 
@@ -60,7 +62,7 @@ HIST_BINS = 20
 # half-width of the uniform log-scale jitter around the truth that a
 # recovery study starts each path's estimation from
 START_JITTER = 0.5
-# rows per chunk of the bulk CSV reader and writer: `_write_columns` formats
+# rows per chunk of the bulk CSV reader and writer: `_write_csv` formats
 # this many rows with one %-operation
 CSV_CHUNK_ROWS = 4096
 
@@ -87,23 +89,12 @@ def _lag_list(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad lag list {text!r}") from exc
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _write_csv(path: str, header: Sequence[str], row_format: str,
+               columns: Sequence[Sequence]) -> None:
+    """Write equal-length columns as csv's writer would, one %-format per chunk.
 
-
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_columns(path: str, header: Sequence[str], row_format: str,
-                   columns: Sequence[Sequence]) -> None:
-    """Write equal-length columns with `_write_csv`'s bytes, one %-format per chunk.
-
-    `row_format` formats one row and ends in CRLF; no cell it writes may
-    contain `,`, `"`, CR or LF, which `csv.writer` would quote.
+    `row_format` formats one row and ends in CRLF; a `%s` cell that holds
+    `,`, `"`, CR or LF must come quoted already, as csv's writer quotes it.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -126,9 +117,9 @@ def _write_json(path: str, payload: Dict) -> None:
 def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
     """Read a one-observation-per-line CSV: `value` or `date,value` rows.
 
-    Unquoted rows with one column count, all values finite, are parsed in
-    bulk; any other input goes through `_read_rows`, which gives the same
-    result or names the offending line.
+    Rows with one column count, all values finite and no quote outside a
+    line-1 header, are parsed in bulk; any other input goes through
+    `_read_rows`, which gives the same result or names the offending line.
     """
     if not os.path.exists(path):
         raise CliError(f"input file not found: {path}")
@@ -148,22 +139,32 @@ def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
 def _read_plain(text: str) -> Optional[Tuple[Optional[List[str]], np.ndarray]]:
     """Bulk parse of plain `value` or `date,value` rows; None for anything else.
 
-    Plain means: no quote, NUL or bare CR; no blank or whitespace-only row;
-    a header, if any, only on line 1; the same column count on every row;
-    every value finite.
+    Plain means: no quote outside a line-1 header, no NUL or bare CR; no
+    blank or whitespace-only row; a header, if any, only on line 1; the same
+    column count on every row; every value finite.
     """
-    # quotes are csv's to undo, a NUL is an error to csv before Python 3.11,
-    # and a bare CR splits a line
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+    # quotes past line 1 are csv's to undo, a NUL is an error to csv before
+    # Python 3.11, and a bare CR splits a line
+    line_2 = text.find("\n") + 1 or len(text)
+    if text.find('"', line_2) >= 0 or "\0" in text or text.count("\r") != text.count("\r\n"):
         return None
     lines = text.replace("\r\n", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()  # the final line ending
     if lines:
+        quoted = '"' in lines[0]
         try:
-            float(lines[0].rpartition(",")[2])
+            # strict: a quote left open on line 1 would run into the next lines
+            last = (next(csv.reader(lines[:1], strict=True))[-1] if quoted
+                    else lines[0].rpartition(",")[2])
+            float(last)
+        except csv.Error:
+            return None
         except ValueError:
             del lines[0]  # header row
+        else:
+            if quoted:
+                return None  # a quoted data row
     # loadtxt would skip an empty line, and raises on a whitespace-only one
     if not lines or "" in lines:
         return None
@@ -257,8 +258,8 @@ def cmd_simulate(args) -> int:
         sample = simulate_path(kind, spec, pi, schedule, SimulationConfig(seed=args.seed + p))
         os.makedirs(args.out_dir, exist_ok=True)
         filename = os.path.join(args.out_dir, f"path_{p:04d}.csv")
-        _write_columns(filename, ["t", "value"], "%.17g,%.17g\r\n",
-                       [schedule.times().tolist(), sample.values.tolist()])
+        _write_csv(filename, ["t", "value"], "%.17g,%.17g\r\n",
+                   [schedule.times().tolist(), sample.values.tolist()])
         paths.append(os.path.basename(filename))
         logger.info("wrote %s (%d observations)", filename, schedule.n_obs)
 
@@ -328,8 +329,7 @@ def _study_one_path(kind: ModelKind, beta_true: ParamVector, spec: LevySpec,
                            SimulationConfig(seed=seed))
 
     # start in a log-scale neighbourhood of the truth, as in a recovery study
-    start_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-    theta0 = transform(beta_true) + start_rng.uniform(-START_JITTER, START_JITTER, size=4)
+    theta0 = transform(beta_true) + _rng(seed, 2).uniform(-START_JITTER, START_JITTER, size=4)
     data = demean(sample.values) if kind is ModelKind.SV else sample.values
     result = two_step_gmm(data, kind, conditions=conditions, start=untransform(theta0))
     record = {"path": index, "seed": seed}
@@ -364,30 +364,26 @@ def cmd_study(args) -> int:
                         for rec in records])
         for step in steps
     }
-    header = ["path", "seed", "converged_step1", "converged_step2"]
-    header += [f"{step}_{name}" for step in steps for name in PARAM_NAMES]
-    header += ["step1_objective", "step2_objective"]
-    rows = [
-        [rec["path"], rec["seed"], int(rec["converged_step1"]), int(rec["converged_step2"])]
-        + [_fmt(v) for v in (*est1, *est2, rec["step1_objective"], rec["step2_objective"])]
-        for rec, est1, est2 in zip(records, estimates["step1"], estimates["step2"])
-    ]
-    _write_csv(os.path.join(args.out_dir, "estimates.csv"), header, rows)
+    int_keys = ("path", "seed", "converged_step1", "converged_step2")
+    objectives = ("step1_objective", "step2_objective")
+    header = [*int_keys, *(f"{step}_{name}" for step in steps for name in PARAM_NAMES),
+              *objectives]
+    columns = [[rec[key] for rec in records] for key in int_keys]
+    columns += [*estimates["step1"].T.tolist(), *estimates["step2"].T.tolist()]
+    columns += [[rec[key] for rec in records] for key in objectives]
+    _write_csv(os.path.join(args.out_dir, "estimates.csv"), header,
+               "%d,%d,%d,%d" + ",%.17g" * 10 + "\r\n", columns)
 
     converged = np.array([rec["converged_step2"] for rec in records])
     final = estimates["step2"][converged]
     if len(final) >= 2:
         for name, values in zip(PARAM_NAMES, final.T):
-            _write_csv(
-                os.path.join(args.out_dir, f"hist_{name}.csv"),
-                ["left", "right", "count"],
-                [[_fmt(lo), _fmt(hi), count] for lo, hi, count in histogram(values, HIST_BINS)],
-            )
-            _write_csv(
-                os.path.join(args.out_dir, f"qq_{name}.csv"),
-                ["theoretical", "sample"],
-                [[_fmt(a), _fmt(b)] for a, b in normal_qq_points(values)],
-            )
+            _write_csv(os.path.join(args.out_dir, f"hist_{name}.csv"),
+                       ["left", "right", "count"], "%.17g,%.17g,%d\r\n",
+                       list(zip(*histogram(values, HIST_BINS))))
+            _write_csv(os.path.join(args.out_dir, f"qq_{name}.csv"),
+                       ["theoretical", "sample"], "%.17g,%.17g\r\n",
+                       normal_qq_points(values).T.tolist())
 
     summary = {
         "command": "study",
@@ -454,29 +450,24 @@ def cmd_fit(args) -> int:
     lags = list(range(1, args.acf_lags + 1))
     emp_var = sample_var(target)
     emp_acov = np.array([sample_acov(target, h) for h in lags])
-    acf_rows = {}
+    acf_columns = {}
     for step, beta in (("step1", result.step1_estimate), ("step2", result.step2_estimate)):
         model_acov, model_var = _model_curves(kind, beta, args.delta, lags)
-        acf_rows[step] = [
-            [h, _fmt(emp_acov[i]), _fmt(model_acov[i]),
-             _fmt(emp_acov[i] / emp_var), _fmt(model_acov[i] / model_var)]
-            for i, h in enumerate(lags)
-        ]
+        acf_columns[step] = [lags, emp_acov.tolist(), model_acov.tolist(),
+                             (emp_acov / emp_var).tolist(), (model_acov / model_var).tolist()]
     os.makedirs(args.out_dir, exist_ok=True)
 
-    series_used = os.path.join(args.out_dir, "series_used.csv")
+    quote_chars = ',"\r\n'  # csv's writer quotes a cell holding one of these
     joined = "".join(dates or ())
-    if any(char in joined for char in ',"\r\n'):  # dates that csv.writer quotes
-        _write_csv(series_used, ["date", "value"], zip(dates, map(_fmt, fitted.tolist())))
-    else:
-        _write_columns(series_used, ["date", "value"], "%s,%.17g\r\n",
-                       [dates or range(1, fitted.size + 1), fitted.tolist()])
-    for step, rows in acf_rows.items():
-        _write_csv(
-            os.path.join(args.out_dir, f"acf_{step}.csv"),
-            ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"],
-            rows,
-        )
+    if any(char in joined for char in quote_chars):
+        dates = ['"' + date.replace('"', '""') + '"' if any(c in date for c in quote_chars)
+                 else date for date in dates]
+    _write_csv(os.path.join(args.out_dir, "series_used.csv"), ["date", "value"],
+               "%s,%.17g\r\n", [dates or range(1, fitted.size + 1), fitted.tolist()])
+    for step, columns in acf_columns.items():
+        _write_csv(os.path.join(args.out_dir, f"acf_{step}.csv"),
+                   ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"],
+                   "%d" + ",%.17g" * 4 + "\r\n", columns)
     return _finish_estimate(args, fitted, result, payload)
 
 

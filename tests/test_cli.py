@@ -23,7 +23,9 @@ from supou import (
     sample_jump_stream,
     simulate_path,
 )
-from supou.cli import CSV_CHUNK_ROWS, CliError, _read_plain, _read_rows, main, read_series
+from supou.cli import (
+    CSV_CHUNK_ROWS, PARAM_NAMES, CliError, _read_plain, _read_rows, main, read_series,
+)
 from supou.descriptive import demean
 from supou.gmm import PARAMETER_BOX
 
@@ -421,12 +423,17 @@ PLAIN_VALUES = ["0.25", "-3", "+4", "1e5", " 1.0 ", "7.000000000000001e-05"]
 ODD_VALUES = ["nan", "inf", "-Infinity", "1_000", "x", "", " "]
 PLAIN_DATES = ["2020-01-02", "d", " t ", "", "1.5"]
 ODD_DATES = ['"2020-01-03, Fri"', '"say ""hi"""', '"a\nb"', " "]
+# quoted ones included: a closed quote on line 1 still takes the bulk path, an
+# open one runs into the next lines, and a quoted number is a data row
+HEADERS = ["date,value", "value", "t,value,extra", '"date","value"', '"value"', '"1.5"',
+           '"a', 'a"b,"c']
 
 
 @st.composite
 def series_texts(draw):
     """CSV text: plain `value` or `date,value` rows in half the draws, else any
-    mix of the shapes that the bulk reader leaves to the line loop."""
+    mix of the shapes that the bulk reader leaves to the line loop; either
+    under any of `HEADERS`."""
     plain = draw(st.booleans())
     values = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                        st.sampled_from(PLAIN_VALUES if plain else PLAIN_VALUES + ODD_VALUES))
@@ -443,7 +450,7 @@ def series_texts(draw):
             spot = draw(st.integers(0, len(lines)))
             lines.insert(spot, draw(st.sampled_from(["", "  ", " , ", "date,value"])))
     if draw(st.booleans()):
-        lines.insert(0, draw(st.sampled_from(["date,value", "value", "t,value,extra"])))
+        lines.insert(0, draw(st.sampled_from(HEADERS)))
     endings = ["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"]
     if draw(st.booleans()):
         ending = draw(st.sampled_from(endings))
@@ -481,14 +488,15 @@ class TestReadSeries:
 
     @pytest.mark.parametrize("text", [
         "1.5\n2.5\n", "value\r\n1.5\r\n2.5\r\n", "date,value\n2020-01-01,1.5\n2020-01-02,-2",
-        "a,1\nb, 2 \n", "7\n",
+        "a,1\nb, 2 \n", "7\n", '"date","value"\n2020-01-01,1.5\n',
     ])
     def test_plain_shapes_take_the_bulk_path(self, text):
         assert _read_plain(text) is not None
 
     @pytest.mark.parametrize("text", [
         '"2020-01-01",1.5\n', "1.5\r2.5\r", "1.5\n\n2.5\n", "1.5\n  \n2.5\n", "a,1\n2\n",
-        "1,2,3\n", "1.5\nnan\n", "1_000\n", "1.5\nvalue\n", "", "value\n",
+        "1,2,3\n", "1.5\nnan\n", "1_000\n", "1.5\nvalue\n", "", "value\n", '"1.5"\n2.5\n',
+        '"a\nb",value\n1,2\n',
     ])
     def test_other_shapes_go_to_the_line_loop(self, text):
         assert _read_plain(text) is None
@@ -531,7 +539,7 @@ def sv_returns(n, seed=3):
 
 class TestCsvBytes:
     @pytest.mark.parametrize("n", [CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 7])
-    @pytest.mark.parametrize("labels", ["none", "plain", "comma", "quote"])
+    @pytest.mark.parametrize("labels", ["none", "plain", "comma", "quote", "newline"])
     def test_series_used_matches_csv_writer(self, tmp_path, labels, n):
         returns = sv_returns(n)
         dates = {
@@ -539,6 +547,7 @@ class TestCsvBytes:
             "plain": [f"2020-{i:05d}" for i in range(n)],
             "comma": [f"{i}, Mon" for i in range(n)],
             "quote": [f'day "{i}"' for i in range(n)],
+            "newline": [f"{i}\nMon" if i % 2 else f"{i}\r\nTue" for i in range(n)],
         }[labels]
         data = tmp_path / "returns.csv"
         cells = [[repr(r)] for r in returns.tolist()]
@@ -564,3 +573,22 @@ class TestCsvBytes:
         expected = csv_writer_bytes(["t", "value"], (
             [f"{t:.17g}", f"{v:.17g}"] for t, v in zip(schedule.times(), sample.values)))
         assert read(out / "path_0000.csv") == expected
+
+    def test_tables_match_csv_writer(self, tmp_path):
+        study, fit = tmp_path / "study", tmp_path / "fit"
+        assert run(["study", "--model", "supou", "--n-obs", 1500, "--n-paths", 3,
+                    "--seed", 11, "--out-dir", study]) == 0
+        assert json.loads((study / "summary.json").read_text())["converged_step2"] >= 2
+        data = tmp_path / "returns.csv"
+        data.write_text("\n".join(map(repr, sv_returns(1500).tolist())) + "\n")
+        assert run(["fit", "--returns", "--input", data, "--acf-lags", 9,
+                    "--out-dir", fit]) in (0, 3)
+        tables = [study / "estimates.csv", *(study / f"{kind}_{name}.csv"
+                                             for kind in ("hist", "qq") for name in PARAM_NAMES),
+                  fit / "acf_step1.csv", fit / "acf_step2.csv"]
+        for path in tables:
+            with open(path, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert read(path) == csv_writer_bytes(header, rows), path.name
+            # integers and floats alike as %.17g of their value
+            assert all(cell == f"{float(cell):.17g}" for row in rows for cell in row), path.name
