@@ -7,8 +7,8 @@ written as it is drawn, the directory with the first), so a command that
 fails leaves none.
 All file outputs are UTF-8. Every CSV goes through `_write_csv`, which
 writes what the csv module's default writer would: CRLF line endings,
-minimal quoting; floats at full float64 precision, so reruns with the
-same seed are byte-identical.
+minimal quoting (string cells through `_csv_quoted`); floats at full
+float64 precision, so reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ def _write_csv(path: str, header: Sequence[str], row_format: str,
                columns: Sequence[Sequence]) -> None:
     """Write equal-length columns as csv's writer would, one %-format per chunk.
 
-    `row_format` formats one row and ends in CRLF; a `%s` cell that holds
-    `,`, `"`, CR or LF must come quoted already, as csv's writer quotes it.
+    `row_format` formats one row and ends in CRLF; a column of strings for a
+    `%s` cell must come through `_csv_quoted`.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -108,6 +108,17 @@ def _write_csv(path: str, header: Sequence[str], row_format: str,
             fh.write(row_format * len(chunk[0]) % tuple(cells))
 
 
+def _csv_quoted(cells: List[str]) -> List[str]:
+    """`cells` quoted by csv's minimal rule: a cell holding `,`, `"`, CR or LF
+    is wrapped in `"` with its inner `"` doubled; `cells` itself when none does."""
+    quote_chars = ',"\r\n'
+    joined = "".join(cells)  # one scan for the common case of no such cell
+    if not any(char in joined for char in quote_chars):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if any(char in cell for char in quote_chars)
+            else cell for cell in cells]
+
+
 def _write_json(path: str, payload: Dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2)
@@ -117,9 +128,9 @@ def _write_json(path: str, payload: Dict) -> None:
 def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
     """Read a one-observation-per-line CSV: `value` or `date,value` rows.
 
-    Rows with one column count, all values finite and no quote outside a
-    line-1 header, are parsed in bulk; any other input goes through
-    `_read_rows`, which gives the same result or names the offending line.
+    Unquoted rows with one column count, all values finite, are parsed in
+    bulk; any other input goes through `_read_rows`, which gives the same
+    result or names the offending line.
     """
     if not os.path.exists(path):
         raise CliError(f"input file not found: {path}")
@@ -139,32 +150,22 @@ def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
 def _read_plain(text: str) -> Optional[Tuple[Optional[List[str]], np.ndarray]]:
     """Bulk parse of plain `value` or `date,value` rows; None for anything else.
 
-    Plain means: no quote outside a line-1 header, no NUL or bare CR; no
-    blank or whitespace-only row; a header, if any, only on line 1; the same
-    column count on every row; every value finite.
+    Plain means: no quote, NUL or bare CR; no blank or whitespace-only row;
+    a header, if any, only on line 1; the same column count on every row;
+    every value finite.
     """
-    # quotes past line 1 are csv's to undo, a NUL is an error to csv before
-    # Python 3.11, and a bare CR splits a line
-    line_2 = text.find("\n") + 1 or len(text)
-    if text.find('"', line_2) >= 0 or "\0" in text or text.count("\r") != text.count("\r\n"):
+    # quotes are csv's to undo, a NUL is an error to csv before Python 3.11,
+    # and a bare CR splits a line
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
         return None
     lines = text.replace("\r\n", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()  # the final line ending
     if lines:
-        quoted = '"' in lines[0]
         try:
-            # strict: a quote left open on line 1 would run into the next lines
-            last = (next(csv.reader(lines[:1], strict=True))[-1] if quoted
-                    else lines[0].rpartition(",")[2])
-            float(last)
-        except csv.Error:
-            return None
+            float(lines[0].rpartition(",")[2])
         except ValueError:
             del lines[0]  # header row
-        else:
-            if quoted:
-                return None  # a quoted data row
     # loadtxt would skip an empty line, and raises on a whitespace-only one
     if not lines or "" in lines:
         return None
@@ -457,13 +458,8 @@ def cmd_fit(args) -> int:
                              (emp_acov / emp_var).tolist(), (model_acov / model_var).tolist()]
     os.makedirs(args.out_dir, exist_ok=True)
 
-    quote_chars = ',"\r\n'  # csv's writer quotes a cell holding one of these
-    joined = "".join(dates or ())
-    if any(char in joined for char in quote_chars):
-        dates = ['"' + date.replace('"', '""') + '"' if any(c in date for c in quote_chars)
-                 else date for date in dates]
-    _write_csv(os.path.join(args.out_dir, "series_used.csv"), ["date", "value"],
-               "%s,%.17g\r\n", [dates or range(1, fitted.size + 1), fitted.tolist()])
+    _write_csv(os.path.join(args.out_dir, "series_used.csv"), ["date", "value"], "%s,%.17g\r\n",
+               [_csv_quoted(dates) if dates else range(1, fitted.size + 1), fitted.tolist()])
     for step, columns in acf_columns.items():
         _write_csv(os.path.join(args.out_dir, f"acf_{step}.csv"),
                    ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"],
