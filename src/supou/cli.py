@@ -94,12 +94,15 @@ def _write_csv(path: str, header: Sequence[str], row_format: str,
     """Write equal-length columns as csv's writer would, one %-format per chunk.
 
     `row_format` formats one row and ends in CRLF; a column of strings for a
-    `%s` cell must come through `_csv_quoted`.
+    `%s` cell must come through `_csv_quoted`.  A numpy column is converted
+    to Python numbers one chunk at a time, so no full-length list of it is
+    made.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
             chunk = [column[start:start + CSV_CHUNK_ROWS] for column in columns]
+            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
             # interleaved by slice assignment: a tuple per row (zip) left
             # the heap fragmented, and peak RSS grew by 5 MB over 90 fits
             cells = [None] * (len(chunk) * len(chunk[0]))
@@ -194,29 +197,38 @@ def _read_rows(path: str, text: str) -> Tuple[Optional[List[str]], np.ndarray]:
     dates: List[str] = []
     values: List[float] = []
     n_cols = None
-    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if lineno == 1:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next_row_line = 1  # the physical line where the row after this one starts
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            next_row_line = reader.line_num + 1
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if lineno == 1:
+                try:
+                    float(row[-1])
+                except ValueError:
+                    continue  # header row
+            if n_cols is None:
+                n_cols = len(row)
+                if n_cols not in (1, 2):
+                    raise CliError(f"{path}:{lineno}: expected 1 or 2 columns, got {n_cols}")
+            if len(row) != n_cols:
+                raise CliError(f"{path}:{lineno}: inconsistent column count")
             try:
-                float(row[-1])
-            except ValueError:
-                continue  # header row
-        if n_cols is None:
-            n_cols = len(row)
-            if n_cols not in (1, 2):
-                raise CliError(f"{path}:{lineno}: expected 1 or 2 columns, got {n_cols}")
-        if len(row) != n_cols:
-            raise CliError(f"{path}:{lineno}: inconsistent column count")
-        try:
-            value = float(row[-1])
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: not a number: {row[-1]!r}") from exc
-        if not math.isfinite(value):
-            raise CliError(f"{path}:{lineno}: not a finite number: {row[-1]!r}")
-        values.append(value)
-        if n_cols == 2:
-            dates.append(row[0])
+                value = float(row[-1])
+            except ValueError as exc:
+                raise CliError(f"{path}:{lineno}: not a number: {row[-1]!r}") from exc
+            if not math.isfinite(value):
+                raise CliError(f"{path}:{lineno}: not a finite number: {row[-1]!r}")
+            values.append(value)
+            if n_cols == 2:
+                dates.append(row[0])
+    except csv.Error as exc:
+        # a quote left open makes one field of the rest of the file, which
+        # csv stops at its field size limit
+        raise CliError(f"{path}:{next_row_line}: the row starting here cannot be read "
+                       f"({exc}); is a quote left open?") from exc
     if not values:
         raise CliError(f"no observations found in {path}")
     return (dates if dates else None), np.array(values)
@@ -260,7 +272,7 @@ def cmd_simulate(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         filename = os.path.join(args.out_dir, f"path_{p:04d}.csv")
         _write_csv(filename, ["t", "value"], "%.17g,%.17g\r\n",
-                   [schedule.times().tolist(), sample.values.tolist()])
+                   [schedule.times(), sample.values])
         paths.append(os.path.basename(filename))
         logger.info("wrote %s (%d observations)", filename, schedule.n_obs)
 
@@ -438,7 +450,8 @@ def cmd_fit(args) -> int:
         if np.any(raw <= 0.0):
             raise CliError("price series must be strictly positive to take log returns")
         series = np.diff(np.log(raw))
-        dates = dates[1:] if dates else None
+        if dates:
+            del dates[0]  # in place: a slice would copy the list
     else:
         series = raw
     if series.size < 3:
@@ -459,7 +472,7 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     _write_csv(os.path.join(args.out_dir, "series_used.csv"), ["date", "value"], "%s,%.17g\r\n",
-               [_csv_quoted(dates) if dates else range(1, fitted.size + 1), fitted.tolist()])
+               [_csv_quoted(dates) if dates else range(1, fitted.size + 1), fitted])
     for step, columns in acf_columns.items():
         _write_csv(os.path.join(args.out_dir, f"acf_{step}.csv"),
                    ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"],

@@ -11,6 +11,10 @@ least-squares fit (scipy's trust-region reflective method) in log
 coordinates, inside a fixed log-scale box around the step-1 start.  The
 residuals' Jacobian -L' dtargets/dtheta is in closed form, like the moment
 targets themselves.
+
+The sample moments and the moment covariance are sums over the N-m windows,
+taken one block of _WINDOW_BLOCK windows at a time: an estimate holds the
+series and one block of window products, never the full (N-m) x d matrix.
 """
 
 from __future__ import annotations
@@ -119,6 +123,11 @@ _EDGE_SLACK = 1e-3
 # ridge added to the moment covariance, relative to its mean diagonal
 _RIDGE_SCALE = 1e-10
 
+# windows per block of the moment sums, 1.3 MB of products at d = 10; it
+# holds every window of a study at 10^4 observations, so a study sums one
+# matrix of all its windows and its outputs do not depend on the block size
+_WINDOW_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class GmmResult:
@@ -184,7 +193,7 @@ def _estimation_series(data, kind: ModelKind) -> np.ndarray:
         # the weighting matrix sums n products of four values of z, which is
         # x^2 for SV; above this magnitude the sums overflow
         limit = (np.finfo(float).max / x.size) ** (0.125 if kind is ModelKind.SV else 0.25)
-        largest = float(np.abs(x).max())
+        largest = float(max(x.max(), -x.min()))  # no |x| copy of the series
         if largest > limit:
             raise DataError(f"observations too large in magnitude: |value| reaches "
                             f"{largest:.3g}, and the moments of {x.size} observations "
@@ -248,20 +257,43 @@ def _moment_jacobian(beta: ParamVector, conditions: MomentConditionSet) -> np.nd
     return jac
 
 
-def _moment_columns(z: np.ndarray, conditions: MomentConditionSet) -> np.ndarray:
-    """(N-m) x d data products (z_t, z_t^2, z_t z_{t+h} ...), one row per window."""
+def _moment_columns(z: np.ndarray, conditions: MomentConditionSet,
+                    start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Data products (z_t, z_t^2, z_t z_{t+h} ...), one row per window t.
+
+    The windows are start <= t < stop, of the N-m that the series holds;
+    by default all of them.
+    """
     n = z.size - conditions.m
     if n < 1:
         raise DataError(
             f"need more than m = {conditions.m} observations, got {z.size}"
         )
+    stop = n if stop is None else min(stop, n)
+    k = stop - start
     # filled in place row by row and transposed, so each column is contiguous
-    # and column means sum pairwise
-    rows = np.empty((conditions.d, n))
-    rows[0] = z[:n]
+    # and column sums sum pairwise
+    rows = np.empty((conditions.d, k))
+    rows[0] = z[start:stop]
     for row, h in zip(rows[1:], (0,) + conditions.lags):
-        np.multiply(rows[0], z[h:h + n], out=row)
+        np.multiply(rows[0], z[start + h:start + h + k], out=row)
     return rows.T
+
+
+def _window_blocks(z: np.ndarray, conditions: MomentConditionSet):
+    """`_moment_columns` of all windows, a block of _WINDOW_BLOCK rows at a time."""
+    n = z.size - conditions.m
+    # at least one block, so that a series with no window raises DataError
+    for start in range(0, max(n, 1), _WINDOW_BLOCK):
+        yield _moment_columns(z, conditions, start, start + _WINDOW_BLOCK)
+
+
+def _window_means(z: np.ndarray, conditions: MomentConditionSet) -> np.ndarray:
+    """Column means of `_moment_columns(z, conditions)`: block sums over N-m."""
+    total = np.zeros(conditions.d)
+    for block in _window_blocks(z, conditions):
+        total += block.sum(axis=0)
+    return total / (z.size - conditions.m)
 
 
 def sample_moments(data, beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
@@ -271,7 +303,7 @@ def sample_moments(data, beta: ParamVector, conditions: MomentConditionSet) -> n
     itself.
     """
     z = _estimation_series(data, conditions.kind)
-    return _moment_columns(z, conditions).mean(axis=0) - _moment_targets(beta, conditions)
+    return _window_means(z, conditions) - _moment_targets(beta, conditions)
 
 
 def _require_pd(W, d: int) -> np.ndarray:
@@ -297,7 +329,8 @@ def objective(data, beta: ParamVector, W, conditions: MomentConditionSet) -> flo
 def estimate_weighting(data, beta1: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
     """Inverse of the (ridge-regularized) moment covariance at the step-1 estimate.
 
-    S = (1/n) sum_t f(window_t, beta1) f(window_t, beta1)'.  A ridge of
+    S = (1/n) sum_t f(window_t, beta1) f(window_t, beta1)', summed a block of
+    windows at a time (see `_window_blocks`).  A ridge of
     _RIDGE_SCALE times the mean diagonal keeps S invertible in the
     near-singular cases that show up for large lag sets; if S stays
     non-invertible anyway, SingularWeightingError is raised.
@@ -306,9 +339,12 @@ def estimate_weighting(data, beta1: ParamVector, conditions: MomentConditionSet)
     n = z.size - conditions.m
     if n < conditions.d:
         raise DataError(f"need at least d = {conditions.d} windows, got {n}")
-    F = _moment_columns(z, conditions)
-    F -= _moment_targets(beta1, conditions)
-    S = (F.T @ F) / n
+    targets = _moment_targets(beta1, conditions)
+    S = np.zeros((conditions.d, conditions.d))
+    for F in _window_blocks(z, conditions):
+        F -= targets
+        S += F.T @ F
+    S /= n
     S = S + (_RIDGE_SCALE * np.trace(S) / conditions.d) * np.eye(conditions.d)
     S = 0.5 * (S + S.T)
     try:
@@ -557,7 +593,7 @@ def two_step_gmm(
         raise DomainError(f"conditions are for kind {conditions.kind}, not {kind}")
 
     z = _estimation_series(data, kind)
-    base = _moment_columns(z, conditions).mean(axis=0)
+    base = _window_means(z, conditions)
     n_used = z.size - conditions.m
     if start is None:
         start = _moment_matched_start(z, conditions)

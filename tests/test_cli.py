@@ -24,7 +24,8 @@ from supou import (
     simulate_path,
 )
 from supou.cli import (
-    CSV_CHUNK_ROWS, PARAM_NAMES, CliError, _read_plain, _read_rows, main, read_series,
+    CSV_CHUNK_ROWS, PARAM_NAMES, CliError, _read_plain, _read_rows, _write_csv, main,
+    read_series,
 )
 from supou.descriptive import demean
 from supou.gmm import PARAMETER_BOX
@@ -371,6 +372,23 @@ class TestNonUtf8Input:
         assert not out.exists()
 
 
+# line 1 opens a quote that no later line closes
+OPEN_QUOTE_HEADER = '"date,value\n' + "".join(f"2020-{i:05d},0.01\n" for i in range(20_000))
+
+
+class TestOpenQuote:
+    @pytest.mark.parametrize("mode", [["estimate"], ["fit", "--returns"], ["fit", "--prices"]])
+    def test_exit_2_names_the_line(self, tmp_path, capsys, mode):
+        data = tmp_path / "open.csv"
+        data.write_text(OPEN_QUOTE_HEADER)
+        out = tmp_path / "o"
+        assert run([*mode, "--input", data, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{data}:1: the row starting here cannot be read" in err
+        assert "field larger than field limit" in err
+        assert not out.exists()
+
+
 class TestAnnualizeFactor:
     @pytest.mark.parametrize("factor", [0, -252, "nan", "inf"])
     @pytest.mark.parametrize("mode", [["estimate"], ["fit", "--returns"]])
@@ -517,6 +535,11 @@ class TestReadSeries:
         ("1,2,3\n", ":1: expected 1 or 2 columns, got 3"),
         ("1.0\n\nvalue\n", ":3: not a number: 'value'"),
         ("date,value\n", "no observations found in "),
+        # a quote left open runs past csv's field size limit of 131,072 characters
+        pytest.param(OPEN_QUOTE_HEADER, ":1: the row starting here cannot be read",
+                     id="open-quote-line-1"),
+        pytest.param('1.0\n2.0\n"3.0\n' + "4.0\n" * 40_000,
+                     ":3: the row starting here cannot be read", id="open-quote-line-3"),
     ])
     def test_errors_name_the_line(self, tmp_path, text, message):
         path = tmp_path / "series.csv"
@@ -554,6 +577,14 @@ class TestCsvBytes:
         expected = csv_writer_bytes(["date", "value"],
                                     zip(dates or range(1, n + 1), fitted))
         assert read(out / "series_used.csv") == expected
+
+    def test_array_columns_match_lists(self, tmp_path):
+        n = CSV_CHUNK_ROWS + 7
+        columns = [np.arange(1, n + 1), sv_returns(n)]
+        header, row_format = ["lag", "value"], "%d,%.17g\r\n"
+        _write_csv(tmp_path / "arrays.csv", header, row_format, columns)
+        _write_csv(tmp_path / "lists.csv", header, row_format, [c.tolist() for c in columns])
+        assert read(tmp_path / "arrays.csv") == read(tmp_path / "lists.csv")
 
     @pytest.mark.parametrize("model", ["supou", "integrated", "sv"])
     def test_path_file_matches_csv_writer(self, tmp_path, model):

@@ -1,7 +1,10 @@
 """Moment functions, weighting, the minimizer, the initializer and the two-step procedure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -37,7 +40,7 @@ from supou import (
     untransform,
 )
 from supou import gmm
-from supou.gmm import PARAMETER_BOX, _moment_jacobian, _moment_targets
+from supou.gmm import PARAMETER_BOX, _WINDOW_BLOCK, _moment_jacobian, _moment_targets
 
 BETA = ParamVector(0.015, 0.003, 4.0, -0.1)
 BETA_LONG = ParamVector(0.015, 0.003, 1.95, -0.1)
@@ -180,6 +183,68 @@ class TestSampleMoments:
     def test_insufficient_data(self):
         with pytest.raises(DataError):
             sample_moments(np.ones(5), BETA, SUPOU_CONDS)
+
+
+def sv_returns(n_obs, seed=3):
+    return demean(simulate_path(ModelKind.SV, LevySpec.from_moments(0.015, 0.003),
+                                PiSpec.from_params(BETA), ObservationSchedule(1.0, n_obs),
+                                SimulationConfig(seed=seed)).values)
+
+
+def one_matrix_sums(x, beta, conditions):
+    """Column means of the window products, and S = F'F/n of them centred at
+    the targets of `beta`, from one (N-m) x d matrix of every window."""
+    z = x * x if conditions.kind is ModelKind.SV else x
+    n = z.size - conditions.m
+    lead = z[:n]
+    F = np.stack([lead, lead * lead, *(lead * z[h:h + n] for h in conditions.lags)]).T
+    F_centred = F - _moment_targets(beta, conditions)
+    return F.mean(axis=0), (F_centred.T @ F_centred) / n
+
+
+def weighting_from(S, d):
+    """`estimate_weighting`'s ridge, symmetrization and Cholesky inverse of S."""
+    S = S + (gmm._RIDGE_SCALE * np.trace(S) / d) * np.eye(d)
+    S = 0.5 * (S + S.T)
+    W = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), np.eye(d))
+    return 0.5 * (W + W.T)
+
+
+class TestWindowBlocks:
+    """The moment sums walk the windows in blocks of _WINDOW_BLOCK."""
+
+    @pytest.mark.parametrize("n_windows", [1000, _WINDOW_BLOCK])
+    @pytest.mark.parametrize("conditions", [SUPOU_CONDS, SV_CONDS], ids=["supou", "sv"])
+    def test_one_block_is_the_one_matrix_arithmetic(self, conditions, n_windows):
+        x = sv_returns(n_windows + conditions.m)
+        if conditions.kind is ModelKind.SUPOU:
+            x = x + 0.05
+        means, S = one_matrix_sums(x, BETA, conditions)
+        assert_array_equal(sample_moments(x, BETA, conditions),
+                           means - _moment_targets(BETA, conditions))
+        assert_array_equal(estimate_weighting(x, BETA, conditions),
+                           weighting_from(S, conditions.d))
+
+    def test_blocks_and_a_remainder_agree_to_rounding(self):
+        # three blocks, the last of 7 windows
+        x = sv_returns(2 * _WINDOW_BLOCK + 7 + SV_CONDS.m)
+        res = two_step_gmm(x, ModelKind.SV)
+        means, S = one_matrix_sums(x, res.step1_estimate, SV_CONDS)
+        assert_allclose(gmm._window_means(x * x, SV_CONDS), means, rtol=1e-12)
+        g2 = means - _moment_targets(res.step2_estimate, SV_CONDS)
+        W = weighting_from(S, SV_CONDS.d)
+        assert_allclose(res.step2_objective, float(g2 @ W @ g2), rtol=1e-10)
+
+    def test_gmm_holds_a_few_copies_of_a_long_series(self):
+        x = sv_returns(400_000)
+        tracemalloc.start()
+        try:
+            two_step_gmm(x, ModelKind.SV)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one matrix of all windows is d = 10 copies of the series by itself
+        assert peak < 5 * x.nbytes
 
 
 class TestObjective:
