@@ -431,15 +431,16 @@ def cmd_study(args) -> int:
 
 def _model_curves(kind: ModelKind, beta: ParamVector, delta: float,
                   lags: Sequence[int]) -> Tuple[np.ndarray, float]:
+    hs = np.asarray(lags, dtype=float)
     if kind is ModelKind.SUPOU:
         var = supou_var(beta)
-        acov = np.array([supou_acov(beta, h * delta) for h in lags])
+        acov = supou_acov(beta, hs * delta)
     elif kind is ModelKind.INTEGRATED:
         var = intsupou_var(beta, delta)
-        acov = np.array([intsupou_acov(beta, delta, h) for h in lags])
+        acov = intsupou_acov(beta, delta, hs)
     else:
         var = sv_sqret_var(beta, delta)
-        acov = np.array([sv_sqret_acov(beta, delta, h) for h in lags])
+        acov = sv_sqret_acov(beta, delta, hs)
     return acov, var
 
 

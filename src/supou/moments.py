@@ -11,18 +11,23 @@ All closed forms:
                  var(X) = -sigma2 / (2 B (a-1))
                  cov(X_0, X_h) = var(X) * (1 - B h)^(1-a)
     integrated:  E(V)   = delta * E(X)
-                 var(V) = -sigma2 * ((1-B d)^(3-a) - 1 - d B (a-3))
-                          / (B^3 (a-1)(a-2)(a-3))
-                 cov(V_1, V_{1+h}) = -sigma2 * (F(h+1) - 2 F(h) + F(h-1))
-                          / (2 B^3 (a-1)(a-2)(a-3)),  F(h) = (1 - B d h)^(3-a)
+                 var(V) = sigma2 R(1) / ((-B)^3 (a-1))
+                 cov(V_1, V_{1+h}) = sigma2 (R(1 + s h) + L(1 + s (h-1)))
+                                     / (2 (-B)^3 (a-1))
     squared SV log returns:
                  E(Y^2) = E(V),  var(Y^2) = 3 var(V) + 2 E(V)^2,
                  cov(Y^2_1, Y^2_{1+h}) = cov(V_1, V_{1+h})
 
-with a = alpha_pi and d = delta.  The integrated formulas are 0/0 at
-a in {2, 3} and cancel near there; within NEAR_SINGULAR of those points
-they are evaluated in partial fractions instead (see `_partial_fractions`),
-which contain the analytic limits.
+with a = alpha_pi, d = delta and s = -B d.  The integrated moments are the
+acf integrated against the tent on (-s, s), in units q = -B tau.  Split at
+its peak, each side is a positive integral at a base y > 0; with c = 3 - a,
+l = log1p(s / y) and E(z) = (e^z - 1) / z,
+
+    R(y) = int_0^s (s - q) (y + q)^(1-a) dq = y^c l ((1 + s/y) E((c-1) l) - E(c l))
+    L(y) = int_0^s q (y + q)^(1-a) dq       = y^c l (E(c l) - E((c-1) l))
+
+E is entire, so there is no 0/0 at a in {2, 3}, and a sum of two positive
+sides cancels nothing between lags.
 """
 
 from __future__ import annotations
@@ -53,10 +58,6 @@ __all__ = [
     "gamma_mix_integral",
     "quadrature_moments",
 ]
-
-# |alpha_pi - k| below this evaluates the integrated formulas in partial
-# fractions: at 1e-6 from k the closed forms lose 5 digits to cancellation
-NEAR_SINGULAR = 0.1
 
 # relative tolerance of the quadrature oracle
 _QUAD_REL_TOL = 1e-11
@@ -113,31 +114,14 @@ def intsupou_mean(beta: ParamVector, delta: float) -> float:
     return delta * supou_mean(beta)
 
 
-def _near_singular(alpha: float) -> bool:
-    return min(abs(alpha - 2.0), abs(alpha - 3.0)) < NEAR_SINGULAR
-
-
-def _partial_fractions(alpha: float, L, w):
-    # (w^(3-a) - 1 - (3-a)(w-1)) / ((a-2)(a-3)) at w = e^L, the closed-form
-    # numerator over the factors that vanish with it, as
-    # L (w E((2-a) L) - E((3-a) L)) with E(y) = (e^y - 1)/y: no 0/0 at a in {2, 3}
-    return L * (w * exprel((2.0 - alpha) * L) - exprel((3.0 - alpha) * L))
-
-
 def _int_var_unit(alpha: float, B: float, delta: float) -> float:
-    # var(V_1) for sigma2 = 1
+    # var(V_1) for sigma2 = 1: R(1) / ((-B)^3 (a-1)), the tent form at y = 1
     if B**3 == 0.0:  # underflow; the formulas are meaningless this close to 0
         raise ParameterError(f"B={B} too close to zero for the integrated formulas")
-    L = math.log1p(-B * delta)
-    if _near_singular(alpha):
-        return -float(_partial_fractions(alpha, L, 1.0 - B * delta)) / (B**3 * (alpha - 1.0))
-    # expm1 keeps the numerator stable as alpha approaches the singular points
-    num = math.expm1((3.0 - alpha) * L) - delta * B * (alpha - 3.0)
-    den = B**3 * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
-    if den == 0.0:  # underflow for extreme (alpha, B); the formula is meaningless there
-        raise ParameterError(f"parameters too extreme for the variance formula: "
-                             f"alpha_pi={alpha}, B={B}")
-    return -num / den
+    s = -B * delta
+    l = math.log1p(s)
+    right = l * ((1.0 + s) * exprel((2.0 - alpha) * l) - exprel((3.0 - alpha) * l))
+    return float(right) / ((-B) ** 3 * (alpha - 1.0))
 
 
 def intsupou_var(beta: ParamVector, delta: float) -> float:
@@ -147,24 +131,37 @@ def intsupou_var(beta: ParamVector, delta: float) -> float:
     return beta.sigma2 * _int_var_unit(beta.alpha_pi, beta.B, delta)
 
 
+def _tent_sides(alpha: float, B: float, delta: float, ks: np.ndarray):
+    """The bases y = 1 + s k for k in ks, l = log1p(s / y) and `sides`.
+
+    sides(lo, hi) gives R(y) and L(y) over 2 (-B)^3 (a-1) at each base, with
+    lo and hi in place of E(c l) and E((c-1) l); they may hold one such pair
+    per row.  A lag h sums R at k = h and L at k = h - 1; the variance is
+    twice R at k = 0.
+    """
+    if B**3 == 0.0:  # underflow; the formulas are meaningless this close to 0
+        raise ParameterError(f"B={B} too close to zero for the integrated formulas")
+    s = -B * delta
+    y = 1.0 + s * ks
+    x = s / y
+    l = np.log1p(x)
+    p = y ** (3.0 - alpha) * l / (2.0 * (-B) ** 3 * (alpha - 1.0))
+    px = p * x
+
+    def sides(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        left = p * (lo - hi)
+        return px * hi - left, left  # R = p ((1 + x) hi - lo)
+
+    return y, l, sides
+
+
 def _int_acov_units(alpha: float, B: float, delta: float, hs: np.ndarray) -> np.ndarray:
     # cov(V_1, V_{1+h}) for sigma2 = 1 at each lag in hs
-    if B**3 == 0.0:
-        raise ParameterError(f"B={B} too close to zero for the integrated formulas")
     n = hs.size
-    x = -B * delta * np.concatenate([hs - 1.0, hs, hs + 1.0])
-    if _near_singular(alpha):
-        # the partial fractions' linear term in h has no second difference
-        f = _partial_fractions(alpha, np.log1p(x), 1.0 + x)
-        scale = -1.0 / (2.0 * B**3 * (alpha - 1.0))
-    else:
-        f = np.expm1((3.0 - alpha) * np.log1p(x))
-        den = 2.0 * B**3 * (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
-        if den == 0.0:
-            raise ParameterError(f"parameters too extreme for the covariance formula: "
-                                 f"alpha_pi={alpha}, B={B}")
-        scale = -1.0 / den
-    return scale * (f[2 * n:] - 2.0 * f[n:2 * n] + f[:n])
+    _, l, sides = _tent_sides(alpha, B, delta, np.concatenate((hs, hs - 1.0)))
+    z = (3.0 - alpha) * l
+    right, left = sides(exprel(z), exprel(z - l))
+    return right[:n] + left[n:]
 
 
 def _exprel_slope(y: np.ndarray) -> np.ndarray:
@@ -181,32 +178,31 @@ def _int_unit_slopes(alpha: float, B: float, delta: float,
     """var(V_1), then cov(V_1, V_{1+h}) at each h in hs, for sigma2 = 1, and
     their slopes in log(alpha - 1) and in log(-B).
 
-    Each value is -R / (B^3 (a-1)) with R the variance point, or the halved
-    second difference over h-1, h, h+1, of `_partial_fractions`; its slopes
-    in a and B have no 0/0 at a in {2, 3} either, so they need no limits.
+    A side's slope in c = 3 - a swaps each E(k l) for l E'(k l) and adds
+    log(y) times the side.  Each unit u has du/dlog(-B) = a (u(a+1) - u(a))
+    by the tent's scaling in B, and u(a+1) is the tent sum at c - 1, whose
+    y^(c-1) is y^c / y.
     """
     n = hs.size
-    x = -B * delta * np.concatenate([[1.0], hs - 1.0, hs, hs + 1.0])
-    L, w = np.log1p(x), 1.0 + x
-    y2, y3 = (2.0 - alpha) * L, (3.0 - alpha) * L
-
-    def combine(p: np.ndarray) -> np.ndarray:
-        return np.concatenate([p[:1], 0.5 * (p[1:n + 1] + p[2 * n + 1:]) - p[n + 1:2 * n + 1]])
-
-    R = combine(_partial_fractions(alpha, L, w))
-    dR_da = combine(L * L * (_exprel_slope(y3) - w * _exprel_slope(y2)))
-    B_dR_dB = combine(x * L * exprel(y2))
-    k = B**3 * (alpha - 1.0)
-    return -R / k, (R - (alpha - 1.0) * dR_da) / k, (3.0 * R - B_dR_dB) / k
+    y, l, sides = _tent_sides(alpha, B, delta, np.concatenate(([0.0], hs, hs - 1.0)))
+    z = (3.0 - alpha - np.arange(3.0)[:, None]) * l  # rows c l, (c-1) l, (c-2) l
+    e = exprel(z)
+    # one (lo, hi) pair per row: the units u, du/dc, and u(a+1) a / (a-1)
+    pairs = np.stack([e[:2], np.log(y) * e[:2] + l * _exprel_slope(z[:2]), e[1:] / y])
+    right, left = sides(pairs[:, 0], pairs[:, 1])
+    right[:, 0] *= 2.0
+    right[:, 1:n + 1] += left[:, n + 1:]
+    units, by_c, next_alpha = right[:, :n + 1]
+    return units, (1.0 - alpha) * by_c - units, (alpha - 1.0) * next_alpha - alpha * units
 
 
-def intsupou_acov(beta: ParamVector, delta: float, h: float) -> float:
-    """Autocovariance of the integrated supOU process at lag h >= 1."""
+def intsupou_acov(beta: ParamVector, delta: float, h: ArrayLike) -> ArrayLike:
+    """Autocovariance of the integrated supOU process at real lag(s) h >= 1."""
     delta = _check_delta(delta)
     h = _check_lag(h, 1.0)
     beta.require_positive_mean()
-    units = _int_acov_units(beta.alpha_pi, beta.B, delta, np.array([float(h)]))
-    return beta.sigma2 * float(units[0])
+    units = _int_acov_units(beta.alpha_pi, beta.B, delta, np.ravel(h))
+    return beta.sigma2 * (units.reshape(np.shape(h)) if np.ndim(h) else float(units[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +220,7 @@ def sv_sqret_var(beta: ParamVector, delta: float) -> float:
     return 3.0 * intsupou_var(beta, delta) + 2.0 * m * m
 
 
-def sv_sqret_acov(beta: ParamVector, delta: float, h: float) -> float:
+def sv_sqret_acov(beta: ParamVector, delta: float, h: ArrayLike) -> ArrayLike:
     """Autocovariance of squared log returns: identical to the integrated process."""
     return intsupou_acov(beta, delta, h)
 

@@ -41,6 +41,7 @@ from supou import (
 )
 from supou import gmm
 from supou.gmm import PARAMETER_BOX, _WINDOW_BLOCK, _moment_jacobian, _moment_targets
+from supou.moments import _int_acov_units, _int_unit_slopes, _int_var_unit
 
 BETA = ParamVector(0.015, 0.003, 4.0, -0.1)
 BETA_LONG = ParamVector(0.015, 0.003, 1.95, -0.1)
@@ -154,6 +155,31 @@ class TestMomentJacobian:
                                                conds)
                     fd = (at(-2) - 8.0 * at(-1) + 8.0 * at(1) - at(2)) / (12.0 * step)
                     worst = max(worst, float(np.max(np.abs(jac[:, j] - fd) / np.abs(target))))
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    def test_unit_slopes_match_five_point_differences(self, delta):
+        # relative to each unit value: the test above divides by the target,
+        # about mean^2, so a wrong slope of a small autocovariance passes it;
+        # alpha_pi = 30 puts lag 40 up to 54 decades below the variance
+        lags = np.array(default_conditions(ModelKind.SV, delta).lags, dtype=float)
+        step = 1e-4
+
+        def units(alpha, B):
+            return np.concatenate([[_int_var_unit(alpha, B, delta)],
+                                   _int_acov_units(alpha, B, delta, lags)])
+
+        worst = 0.0
+        for alpha in JACOBIAN_ALPHAS + [30.0]:
+            for B in JACOBIAN_BS:
+                u, d_alpha, d_B = _int_unit_slopes(alpha, float(B), delta, lags)
+                assert_allclose(u, units(alpha, float(B)), rtol=1e-12)
+                for slope, at in (
+                    (d_alpha, lambda k: units(1.0 + (alpha - 1.0) * np.exp(k * step), float(B))),
+                    (d_B, lambda k: units(alpha, float(B) * np.exp(k * step))),
+                ):
+                    fd = (at(-2) - 8.0 * at(-1) + 8.0 * at(1) - at(2)) / (12.0 * step)
+                    worst = max(worst, float(np.max(np.abs(slope - fd) / u)))
         assert worst <= 1e-6
 
 

@@ -159,6 +159,17 @@ class TestIntegratedMoments:
             ) / (math.log(1e4) - math.log(1e3))
             assert abs(slope / (1.0 - beta.alpha_pi) - 1.0) < 0.02
 
+    @pytest.mark.parametrize("acov", [intsupou_acov, sv_sqret_acov])
+    def test_acov_takes_an_array_of_lags(self, acov):
+        hs = np.array([[1.0, 2.5], [7.0, 40.0]])
+        got = acov(BETA_LONG, 0.5, hs)
+        assert got.shape == hs.shape
+        for h, value in zip(hs.ravel(), got.ravel()):
+            assert_allclose(value, acov(BETA_LONG, 0.5, float(h)), rtol=1e-15)
+        assert isinstance(acov(BETA_LONG, 0.5, 3), float)
+        with pytest.raises(DomainError):
+            acov(BETA_LONG, 0.5, np.array([1.0, 0.5]))
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             intsupou_var(BETA_SHORT, 0.0)
@@ -174,7 +185,9 @@ class TestIntegratedMoments:
 
 
 class TestLimitHandling:
-    """The integrated formulas at alpha_pi in {2, 3} use analytic limits."""
+    """The integrated formulas at and near alpha_pi in {2, 3}, where the
+    second-difference closed forms are 0/0: the tent form has no such
+    point, and these tests keep it continuous and on the oracle there."""
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0])
     @pytest.mark.parametrize("B,delta", [(-0.1, 1.0), (-0.5, 0.5), (-2.0, 1.0), (-0.01, 1.0)])
@@ -266,6 +279,21 @@ class TestQuadratureOracle:
         assert_allclose(intsupou_var(beta, delta), oracle.var, rtol=1e-8)
         for h, value in oracle.acov.items():
             assert_allclose(intsupou_acov(beta, delta, h), value, rtol=1e-8)
+
+    @pytest.mark.parametrize("alpha,B,delta,lags", [
+        (30.0, -1.0, 1.0, [1, 2, 5, 10, 20]),
+        (10.81, -0.519, 5.0, [1, 2, 5, 10, 20, 40]),
+    ])
+    def test_fast_decay_agrees_with_oracle_at_long_lags(self, alpha, B, delta, lags):
+        # the autocovariances fall by 35 and 17 decades from lag 1; second
+        # differences of (1 - B delta h)^(3 - alpha) were off by a relative
+        # 1.0 here from lag 5, and by 15 at lag 40
+        beta = ParamVector(0.015, 0.003, alpha, B)
+        oracle = quadrature_moments(beta, ModelKind.SV, delta, lags=lags)
+        expected = [oracle.acov[float(h)] for h in lags]
+        assert_allclose(intsupou_acov(beta, delta, np.array(lags, float)), expected, rtol=1e-10)
+        assert_allclose(sv_sqret_acov(beta, delta, np.array(lags, float)), expected, rtol=1e-10)
+        assert_allclose(sv_sqret_var(beta, delta), oracle.var, rtol=1e-10)
 
     @pytest.mark.parametrize("alpha", [208.0, 500.0, 1000.0])
     def test_large_alpha_finds_the_gamma_peak(self, alpha):
