@@ -257,39 +257,27 @@ def _moment_jacobian(beta: ParamVector, conditions: MomentConditionSet) -> np.nd
     return jac
 
 
-def _moment_columns(z: np.ndarray, conditions: MomentConditionSet,
-                    start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-    """Data products (z_t, z_t^2, z_t z_{t+h} ...), one row per window t.
+def _window_blocks(z: np.ndarray, conditions: MomentConditionSet):
+    """Data products (z_t, z_t^2, z_t z_{t+h} ...) of the N-m windows t.
 
-    The windows are start <= t < stop, of the N-m that the series holds;
-    by default all of them.
+    One row per window, yielded a block of _WINDOW_BLOCK rows at a time.
     """
     n = z.size - conditions.m
     if n < 1:
-        raise DataError(
-            f"need more than m = {conditions.m} observations, got {z.size}"
-        )
-    stop = n if stop is None else min(stop, n)
-    k = stop - start
-    # filled in place row by row and transposed, so each column is contiguous
-    # and column sums sum pairwise
-    rows = np.empty((conditions.d, k))
-    rows[0] = z[start:stop]
-    for row, h in zip(rows[1:], (0,) + conditions.lags):
-        np.multiply(rows[0], z[start + h:start + h + k], out=row)
-    return rows.T
-
-
-def _window_blocks(z: np.ndarray, conditions: MomentConditionSet):
-    """`_moment_columns` of all windows, a block of _WINDOW_BLOCK rows at a time."""
-    n = z.size - conditions.m
-    # at least one block, so that a series with no window raises DataError
-    for start in range(0, max(n, 1), _WINDOW_BLOCK):
-        yield _moment_columns(z, conditions, start, start + _WINDOW_BLOCK)
+        raise DataError(f"need more than m = {conditions.m} observations, got {z.size}")
+    for start in range(0, n, _WINDOW_BLOCK):
+        k = min(_WINDOW_BLOCK, n - start)
+        # filled in place row by row and transposed, so each column is
+        # contiguous and column sums sum pairwise
+        rows = np.empty((conditions.d, k))
+        rows[0] = z[start:start + k]
+        for row, h in zip(rows[1:], (0,) + conditions.lags):
+            np.multiply(rows[0], z[start + h:start + h + k], out=row)
+        yield rows.T
 
 
 def _window_means(z: np.ndarray, conditions: MomentConditionSet) -> np.ndarray:
-    """Column means of `_moment_columns(z, conditions)`: block sums over N-m."""
+    """Column means of the window products: block sums over N-m."""
     total = np.zeros(conditions.d)
     for block in _window_blocks(z, conditions):
         total += block.sum(axis=0)
@@ -345,8 +333,8 @@ def estimate_weighting(data, beta1: ParamVector, conditions: MomentConditionSet)
         F -= targets
         S += F.T @ F
     S /= n
+    # each F.T @ F is a symmetric rank-k update, so S is exactly symmetric
     S = S + (_RIDGE_SCALE * np.trace(S) / conditions.d) * np.eye(conditions.d)
-    S = 0.5 * (S + S.T)
     try:
         chol = scipy.linalg.cho_factor(S)
         W = scipy.linalg.cho_solve(chol, np.eye(conditions.d))

@@ -251,9 +251,10 @@ class TestWindowBlocks:
         assert_array_equal(estimate_weighting(x, BETA, conditions),
                            weighting_from(S, conditions.d))
 
-    def test_blocks_and_a_remainder_agree_to_rounding(self):
-        # three blocks, the last of 7 windows
-        x = sv_returns(2 * _WINDOW_BLOCK + 7 + SV_CONDS.m)
+    @pytest.mark.parametrize("remainder", [7, 0])
+    def test_blocks_and_a_remainder_agree_to_rounding(self, remainder):
+        # two whole blocks, then a third of `remainder` windows if any
+        x = sv_returns(2 * _WINDOW_BLOCK + remainder + SV_CONDS.m)
         res = two_step_gmm(x, ModelKind.SV)
         means, S = one_matrix_sums(x, res.step1_estimate, SV_CONDS)
         assert_allclose(gmm._window_means(x * x, SV_CONDS), means, rtol=1e-12)
@@ -517,9 +518,9 @@ class TestTwoStepGmm:
         x = simulated_supou(seed=17, n_obs=3000)
         res = two_step_gmm(x, ModelKind.SUPOU)
         W = res.weighting
-        from supou.gmm import _estimation_series, _moment_columns, _residuals
+        from supou.gmm import _estimation_series, _residuals
 
-        base = _moment_columns(_estimation_series(x, ModelKind.SUPOU), SUPOU_CONDS).mean(axis=0)
+        base = gmm._window_means(_estimation_series(x, ModelKind.SUPOU), SUPOU_CONDS)
         theta0 = transform(res.step1_estimate)
         for lam in (1.0, 7.0):
             theta, stop = minimize(*_residuals(base, lam * W, SUPOU_CONDS), theta0, theta0)
