@@ -8,9 +8,11 @@ sample moments, first with the identity weighting, then with the inverse of
 the estimated moment covariance from step one.  With W = L L' the criterion
 is the sum of squares of L' g, so each step is one bounded nonlinear
 least-squares fit (scipy's trust-region reflective method) in log
-coordinates, inside a fixed log-scale box around the step-1 start.  The
-residuals' Jacobian -L' dtargets/dtheta is in closed form, like the moment
-targets themselves.
+coordinates, inside a fixed log-scale box around the step-1 start.
+`_moment_model` evaluates the moment targets and their Jacobian in theta
+together, in closed form from the unit moments and slopes of `moments`.  trf
+asks for the Jacobian at the theta of its last residuals, so each fit
+evaluates the model once per theta.
 
 The sample moments and the moment covariance are sums over the N-m windows,
 taken one block of _WINDOW_BLOCK windows at a time: an estimate holds the
@@ -36,10 +38,12 @@ from .errors import (
     SingularWeightingError,
     WeightingMatrixError,
 )
+# supou_var, supou_acov, intsupou_var, _int_acov_units: unused, kept for the benchmark's tracer
 from .moments import (
     _int_acov_units,
     _int_unit_slopes,
     _int_var_unit,
+    _supou_unit_slopes,
     intsupou_mean,
     intsupou_var,
     supou_acov,
@@ -201,60 +205,43 @@ def _estimation_series(data, kind: ModelKind) -> np.ndarray:
     return x * x if kind is ModelKind.SV else x
 
 
-def _moment_targets(beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
-    """Model values of (E z, E z^2, E z_1 z_{1+h} ...) for the estimation series z."""
-    kind, delta = conditions.kind, conditions.delta
-    lags = np.asarray(conditions.lags, dtype=float)
-    # mean, variance and autocovariances of X, or of V for both other kinds
-    if kind is ModelKind.SUPOU:
-        mean = supou_mean(beta)
-        var = supou_var(beta)
-        acov = supou_acov(beta, lags * delta)
-    else:
-        mean = intsupou_mean(beta, delta)
-        var = intsupou_var(beta, delta)
-        acov = beta.sigma2 * _int_acov_units(beta.alpha_pi, beta.B, delta, lags)
-    # squared SV returns have E(Y^4) = 3 E(V^2)
-    second = 3.0 * (var + mean * mean) if kind is ModelKind.SV else mean * mean + var
-    return np.concatenate(([mean, second], mean * mean + acov))
-
-
-def _moment_jacobian(beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
-    """d x 4 Jacobian of `_moment_targets` in theta = `transform(beta)`.
+def _moment_model(beta: ParamVector,
+                  conditions: MomentConditionSet) -> Tuple[np.ndarray, np.ndarray]:
+    """Model values of (E z, E z^2, E z_1 z_{1+h} ...) for the estimation
+    series z, and their d x 4 Jacobian in theta = `transform(beta)`.
 
     The mean is proportional to mu / (-B (alpha_pi - 1)); every other target
     is mean^2 plus sigma2 times a unit moment of (alpha_pi, B) alone (the SV
-    fourth moment is three times that), whose slopes `moments` has in closed
-    form.
+    fourth moment is three times that), which `moments` gives with its
+    slopes.
     """
     kind, delta = conditions.kind, conditions.delta
     lags = np.asarray(conditions.lags, dtype=float)
-    a, B = beta.alpha_pi, beta.B
-    # not through supou_mean: the benchmark's tracer counts its calls as
-    # criterion evaluations
-    mean = -beta.mu / (B * (a - 1.0))
+    # var and autocovariances of X, or of V for both other kinds
     if kind is ModelKind.SUPOU:
-        # var(X) times the unit moments (1, acf(h) ...)
-        scale = supou_var(beta)
-        Bh = B * delta * lags
-        log_w = np.log1p(-Bh)
-        acf = np.exp((1.0 - a) * log_w)
-        units = np.concatenate([[1.0], acf])
-        d_alpha = np.concatenate([[0.0], -(a - 1.0) * log_w * acf]) - units
-        d_B = np.concatenate([[0.0], (a - 1.0) * Bh / (1.0 - Bh) * acf]) - units
+        mean = supou_mean(beta)
+        slopes = _supou_unit_slopes(beta.alpha_pi, beta.B, lags * delta)
     else:
-        mean *= delta
-        scale = beta.sigma2
-        units, d_alpha, d_B = _int_unit_slopes(a, B, delta, lags)
+        mean = intsupou_mean(beta, delta)
+        slopes = _int_unit_slopes(beta.alpha_pi, beta.B, delta, lags)
+    # columns: sigma2 times the units, and their slopes in log(alpha_pi - 1)
+    # and log(-B)
+    units = beta.sigma2 * np.stack(slopes, axis=1)
+    targets = np.concatenate(([mean], mean * mean + units[:, 0]))
     jac = np.empty((conditions.d, 4))
     jac[0] = mean * np.array([1.0, 0.0, -1.0, -1.0])
     jac[1:] = 2.0 * mean * jac[0]
-    jac[1:, 1] += scale * units
-    jac[1:, 2] += scale * d_alpha
-    jac[1:, 3] += scale * d_B
+    jac[1:, 1:] += units
     if kind is ModelKind.SV:
+        # squared SV returns have E(Y^4) = 3 E(V^2)
+        targets[1] *= 3.0
         jac[1] *= 3.0
-    return jac
+    return targets, jac
+
+
+def _moment_targets(beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
+    """The model values of `_moment_model` alone."""
+    return _moment_model(beta, conditions)[0]
 
 
 def _window_blocks(z: np.ndarray, conditions: MomentConditionSet):
@@ -540,18 +527,25 @@ def initial_estimate(data, conditions: MomentConditionSet) -> ParamVector:
 def _residuals(base: np.ndarray, W: np.ndarray,
                conditions: MomentConditionSet) -> Tuple[Callable, Callable]:
     # L' g with W = L L', so that the sum of squares is the criterion g' W g,
-    # and its Jacobian -L' dtargets/dtheta
+    # and its Jacobian -L' dtargets/dtheta; trf asks for the Jacobian at the
+    # theta of its last residuals, so the model at that theta is kept
     L = np.linalg.cholesky(W)
+    last = [None, None]  # the last theta and the model there
+
+    def model(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        if not np.array_equal(theta, last[0]):
+            last[:] = theta.copy(), _moment_model(untransform(theta), conditions)
+        return last[1]
 
     def fn(theta: np.ndarray) -> np.ndarray:
         try:
-            g = base - _moment_targets(untransform(theta), conditions)
+            g = base - model(theta)[0]
         except (ParameterError, DomainError, OverflowError, ZeroDivisionError):
             return np.full(base.size, np.inf)
         return L.T @ g
 
     def jac(theta: np.ndarray) -> np.ndarray:
-        return -L.T @ _moment_jacobian(untransform(theta), conditions)
+        return -L.T @ model(theta)[1]
 
     return fn, jac
 

@@ -28,6 +28,11 @@ l = log1p(s / y) and E(z) = (e^z - 1) / z,
 
 E is entire, so there is no 0/0 at a in {2, 3}, and a sum of two positive
 sides cancels nothing between lags.
+
+For the GMM Jacobian, `_supou_unit_slopes` and `_int_unit_slopes` give the
+variance and autocovariances at sigma2 = 1 (the units) together with their
+slopes in log(a-1) and log(-B).  The integrated units exist only there:
+`_int_var_unit` and `_int_acov_units` are slices of `_int_unit_slopes`.
 """
 
 from __future__ import annotations
@@ -103,6 +108,19 @@ def supou_acov(beta: ParamVector, h: ArrayLike) -> ArrayLike:
     return supou_var(beta) * supou_acf(beta, h)
 
 
+def _supou_unit_slopes(alpha: float, B: float,
+                       h: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """var(X), then cov(X_0, X_h) at each real lag in h, for sigma2 = 1, and
+    their slopes in log(alpha - 1) and in log(-B)."""
+    Bh = B * h
+    acf = (1.0 - Bh) ** (1.0 - alpha)
+    units = -1.0 / (2.0 * B * (alpha - 1.0)) * np.concatenate(([1.0], acf))
+    # the "- units" terms: var(X) is proportional to 1 / ((alpha - 1) (-B))
+    d_alpha = units * np.concatenate(([0.0], (1.0 - alpha) * np.log1p(-Bh))) - units
+    d_B = units * np.concatenate(([0.0], (alpha - 1.0) * Bh / (1.0 - Bh))) - units
+    return units, d_alpha, d_B
+
+
 # ---------------------------------------------------------------------------
 # integrated supOU process
 # ---------------------------------------------------------------------------
@@ -115,13 +133,8 @@ def intsupou_mean(beta: ParamVector, delta: float) -> float:
 
 
 def _int_var_unit(alpha: float, B: float, delta: float) -> float:
-    # var(V_1) for sigma2 = 1: R(1) / ((-B)^3 (a-1)), the tent form at y = 1
-    if B**3 == 0.0:  # underflow; the formulas are meaningless this close to 0
-        raise ParameterError(f"B={B} too close to zero for the integrated formulas")
-    s = -B * delta
-    l = math.log1p(s)
-    right = l * ((1.0 + s) * exprel((2.0 - alpha) * l) - exprel((3.0 - alpha) * l))
-    return float(right) / ((-B) ** 3 * (alpha - 1.0))
+    # var(V_1) for sigma2 = 1
+    return float(_int_unit_slopes(alpha, B, delta, np.empty(0))[0][0])
 
 
 def intsupou_var(beta: ParamVector, delta: float) -> float:
@@ -129,39 +142,6 @@ def intsupou_var(beta: ParamVector, delta: float) -> float:
     delta = _check_delta(delta)
     beta.require_positive_mean()
     return beta.sigma2 * _int_var_unit(beta.alpha_pi, beta.B, delta)
-
-
-def _tent_sides(alpha: float, B: float, delta: float, ks: np.ndarray):
-    """The bases y = 1 + s k for k in ks, l = log1p(s / y) and `sides`.
-
-    sides(lo, hi) gives R(y) and L(y) over 2 (-B)^3 (a-1) at each base, with
-    lo and hi in place of E(c l) and E((c-1) l); they may hold one such pair
-    per row.  A lag h sums R at k = h and L at k = h - 1; the variance is
-    twice R at k = 0.
-    """
-    if B**3 == 0.0:  # underflow; the formulas are meaningless this close to 0
-        raise ParameterError(f"B={B} too close to zero for the integrated formulas")
-    s = -B * delta
-    y = 1.0 + s * ks
-    x = s / y
-    l = np.log1p(x)
-    p = y ** (3.0 - alpha) * l / (2.0 * (-B) ** 3 * (alpha - 1.0))
-    px = p * x
-
-    def sides(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        left = p * (lo - hi)
-        return px * hi - left, left  # R = p ((1 + x) hi - lo)
-
-    return y, l, sides
-
-
-def _int_acov_units(alpha: float, B: float, delta: float, hs: np.ndarray) -> np.ndarray:
-    # cov(V_1, V_{1+h}) for sigma2 = 1 at each lag in hs
-    n = hs.size
-    _, l, sides = _tent_sides(alpha, B, delta, np.concatenate((hs, hs - 1.0)))
-    z = (3.0 - alpha) * l
-    right, left = sides(exprel(z), exprel(z - l))
-    return right[:n] + left[n:]
 
 
 def _exprel_slope(y: np.ndarray) -> np.ndarray:
@@ -178,22 +158,38 @@ def _int_unit_slopes(alpha: float, B: float, delta: float,
     """var(V_1), then cov(V_1, V_{1+h}) at each h in hs, for sigma2 = 1, and
     their slopes in log(alpha - 1) and in log(-B).
 
-    A side's slope in c = 3 - a swaps each E(k l) for l E'(k l) and adds
-    log(y) times the side.  Each unit u has du/dlog(-B) = a (u(a+1) - u(a))
-    by the tent's scaling in B, and u(a+1) is the tent sum at c - 1, whose
-    y^(c-1) is y^c / y.
+    The units are tent sides R(y) and L(y) over 2 (-B)^3 (a-1) at the bases
+    y = 1 + s k: the variance is twice R at k = 0, and lag h sums R at k = h
+    and L at k = h - 1.  A side's slope in c = 3 - a swaps each E(k l) for
+    l E'(k l) and adds log(y) times the side.  Each unit u has
+    du/dlog(-B) = a (u(a+1) - u(a)) by the tent's scaling in B, and u(a+1)
+    is the tent sum at c - 1, whose y^(c-1) is y^c / y.
     """
+    if B**3 == 0.0:  # underflow; the formulas are meaningless this close to 0
+        raise ParameterError(f"B={B} too close to zero for the integrated formulas")
     n = hs.size
-    y, l, sides = _tent_sides(alpha, B, delta, np.concatenate(([0.0], hs, hs - 1.0)))
+    s = -B * delta
+    y = 1.0 + s * np.concatenate(([0.0], hs, hs - 1.0))
+    x = s / y
+    l = np.log1p(x)
+    p = y ** (3.0 - alpha) * l / (2.0 * (-B) ** 3 * (alpha - 1.0))
     z = (3.0 - alpha - np.arange(3.0)[:, None]) * l  # rows c l, (c-1) l, (c-2) l
     e = exprel(z)
-    # one (lo, hi) pair per row: the units u, du/dc, and u(a+1) a / (a-1)
-    pairs = np.stack([e[:2], np.log(y) * e[:2] + l * _exprel_slope(z[:2]), e[1:] / y])
-    right, left = sides(pairs[:, 0], pairs[:, 1])
+    # one (lo, hi) pair per row, in place of (E(c l), E((c-1) l)): the units
+    # u, du/dc, and u(a+1) a / (a-1)
+    lo, hi = np.stack([e[:2], np.log(y) * e[:2] + l * _exprel_slope(z[:2]), e[1:] / y],
+                      axis=1)
+    left = p * (lo - hi)
+    right = p * x * hi - left  # R = p ((1 + x) hi - lo)
     right[:, 0] *= 2.0
     right[:, 1:n + 1] += left[:, n + 1:]
     units, by_c, next_alpha = right[:, :n + 1]
     return units, (1.0 - alpha) * by_c - units, (alpha - 1.0) * next_alpha - alpha * units
+
+
+def _int_acov_units(alpha: float, B: float, delta: float, hs: np.ndarray) -> np.ndarray:
+    # cov(V_1, V_{1+h}) for sigma2 = 1 at each lag in hs
+    return _int_unit_slopes(alpha, B, delta, hs)[0][1:]
 
 
 def intsupou_acov(beta: ParamVector, delta: float, h: ArrayLike) -> ArrayLike:

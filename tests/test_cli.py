@@ -88,6 +88,14 @@ class TestSimulate:
             run(["simulate", "--n-obs", 0, "--out-dir", tmp_path])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "study"])
+    def test_negative_seed_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--seed", -3, "--n-obs", 10, "--out-dir", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert "--seed: must be a non-negative integer, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_jump_shape_keeps_levy_moments(self, tmp_path):
         base, shaped = tmp_path / "base", tmp_path / "shaped"
         assert run(["simulate", "--n-obs", 50, "--seed", 1, "--out-dir", base]) == 0
@@ -133,6 +141,12 @@ class TestEstimate:
         missing = tmp_path / "nope.csv"
         assert run(["estimate", "--input", missing, "--out-dir", tmp_path / "o"]) == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_unreadable_input_exit_2(self, tmp_path, capsys):
+        # a directory exists but cannot be read as a file
+        assert run(["estimate", "--input", tmp_path, "--out-dir", tmp_path / "o"]) == 2
+        assert f"cannot read input file {tmp_path}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

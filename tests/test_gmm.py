@@ -1,6 +1,7 @@
 """Moment functions, weighting, the minimizer, the initializer and the two-step procedure."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -40,8 +41,14 @@ from supou import (
     untransform,
 )
 from supou import gmm
-from supou.gmm import PARAMETER_BOX, _WINDOW_BLOCK, _moment_jacobian, _moment_targets
-from supou.moments import _int_acov_units, _int_unit_slopes, _int_var_unit
+from supou.gmm import PARAMETER_BOX, _WINDOW_BLOCK, _moment_model, _moment_targets
+from supou.moments import (
+    _int_unit_slopes,
+    _supou_unit_slopes,
+    intsupou_acov,
+    intsupou_var,
+    supou_acov,
+)
 
 BETA = ParamVector(0.015, 0.003, 4.0, -0.1)
 BETA_LONG = ParamVector(0.015, 0.003, 1.95, -0.1)
@@ -147,7 +154,7 @@ class TestMomentJacobian:
             for B in JACOBIAN_BS:
                 theta = transform(ParamVector(0.015, 0.003, alpha, float(B)))
                 target = _moment_targets(untransform(theta), conds)
-                jac = _moment_jacobian(untransform(theta), conds)
+                jac = _moment_model(untransform(theta), conds)[1]
                 assert np.all(np.isfinite(jac)), (alpha, B)
                 for j in range(4):
                     def at(k):
@@ -165,22 +172,30 @@ class TestMomentJacobian:
         lags = np.array(default_conditions(ModelKind.SV, delta).lags, dtype=float)
         step = 1e-4
 
-        def units(alpha, B):
-            return np.concatenate([[_int_var_unit(alpha, B, delta)],
-                                   _int_acov_units(alpha, B, delta, lags)])
+        def supou_units(beta):
+            return supou_acov(beta, np.concatenate(([0.0], lags * delta)))
 
-        worst = 0.0
-        for alpha in JACOBIAN_ALPHAS + [30.0]:
-            for B in JACOBIAN_BS:
-                u, d_alpha, d_B = _int_unit_slopes(alpha, float(B), delta, lags)
-                assert_allclose(u, units(alpha, float(B)), rtol=1e-12)
-                for slope, at in (
-                    (d_alpha, lambda k: units(1.0 + (alpha - 1.0) * np.exp(k * step), float(B))),
-                    (d_B, lambda k: units(alpha, float(B) * np.exp(k * step))),
-                ):
-                    fd = (at(-2) - 8.0 * at(-1) + 8.0 * at(1) - at(2)) / (12.0 * step)
-                    worst = max(worst, float(np.max(np.abs(slope - fd) / u)))
-        assert worst <= 1e-6
+        def int_units(beta):
+            return np.concatenate([[intsupou_var(beta, delta)], intsupou_acov(beta, delta, lags)])
+
+        # each unit function and the public closed forms it gives at sigma2 = 1
+        for slopes, public in (
+            (lambda alpha, B: _supou_unit_slopes(alpha, B, lags * delta), supou_units),
+            (lambda alpha, B: _int_unit_slopes(alpha, B, delta, lags), int_units),
+        ):
+            worst = 0.0
+            for alpha in JACOBIAN_ALPHAS + [30.0]:
+                for B in JACOBIAN_BS:
+                    u, d_alpha, d_B = slopes(alpha, float(B))
+                    assert_allclose(u, public(ParamVector(1.0, 1.0, alpha, float(B))), rtol=1e-12)
+                    for slope, at in (
+                        (d_alpha, lambda k: slopes(1.0 + (alpha - 1.0) * np.exp(k * step),
+                                                   float(B))[0]),
+                        (d_B, lambda k: slopes(alpha, float(B) * np.exp(k * step))[0]),
+                    ):
+                        fd = (at(-2) - 8.0 * at(-1) + 8.0 * at(1) - at(2)) / (12.0 * step)
+                        worst = max(worst, float(np.max(np.abs(slope - fd) / u)))
+            assert worst <= 1e-6, public.__name__
 
 
 class TestSampleMoments:
@@ -529,6 +544,40 @@ class TestTwoStepGmm:
                 ref = theta
             else:
                 assert_allclose(theta, ref, atol=1e-4)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_one_model_evaluation_per_theta(self, kind, monkeypatch):
+        # trf asks for the Jacobian at the theta of its last residuals, and
+        # that call reuses their evaluation: within a fit no theta is
+        # evaluated twice
+        x = simulate_path(kind, LevySpec(0.1, 3.0, 20.0), PiSpec.from_params(BETA),
+                          ObservationSchedule(1.0, 3000), SimulationConfig(seed=11)).values
+        calls, per_fit, jac_calls = [], [], []
+        model, fit = gmm._moment_model, gmm.minimize
+
+        def counted_model(beta, conditions):
+            calls.append(astuple(beta))
+            return model(beta, conditions)
+
+        def counted_fit(residuals, jac, theta0, center):
+            first = len(calls)
+
+            def counted_jac(theta):
+                before = len(calls)
+                result = jac(theta)
+                jac_calls.append(len(calls) - before)  # model evaluations in this call
+                return result
+
+            result = fit(residuals, counted_jac, theta0, center)
+            per_fit.append(calls[first:])
+            return result
+
+        monkeypatch.setattr(gmm, "_moment_model", counted_model)
+        monkeypatch.setattr(gmm, "minimize", counted_fit)
+        two_step_gmm(demean(x) if kind is ModelKind.SV else x, kind)
+        assert len(per_fit) == 2 and len(jac_calls) >= 2 and not any(jac_calls)
+        for betas in per_fit:
+            assert betas and len(set(betas)) == len(betas)
 
     def test_insufficient_data(self):
         with pytest.raises(DataError):
