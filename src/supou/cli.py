@@ -9,11 +9,16 @@ All file outputs are UTF-8. Every CSV goes through `_write_csv`, which
 writes what the csv module's default writer would: CRLF line endings,
 minimal quoting (string cells through `_csv_quoted`); floats at full
 float64 precision, so reruns with the same seed are byte-identical.
+An input series is read a block of bytes at a time into one float64 array
+and, for `date,value` rows, one `_DateColumn`: the dates as one UTF-8
+buffer and offsets, turned into str only a chunk of rows at a time when
+`series_used.csv` is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import json
@@ -21,10 +26,10 @@ import logging
 import math
 import os
 import sys
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from functools import cache, partial
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,9 +67,12 @@ HIST_BINS = 20
 # half-width of the uniform log-scale jitter around the truth that a
 # recovery study starts each path's estimation from
 START_JITTER = 0.5
-# rows per chunk of the bulk CSV reader and writer: `_write_csv` formats
-# this many rows with one %-operation
+# rows per chunk of the CSV writer: `_write_csv` formats this many rows
+# with one %-operation
 CSV_CHUNK_ROWS = 4096
+# bytes per block of the bulk CSV reader, which extends a block to the end
+# of its last line
+_READ_BLOCK_BYTES = 1 << 16
 
 
 class CliError(Exception):
@@ -100,15 +108,17 @@ def _write_csv(path: str, header: Sequence[str], row_format: str,
                columns: Sequence[Sequence]) -> None:
     """Write equal-length columns as csv's writer would, one %-format per chunk.
 
-    `row_format` formats one row and ends in CRLF; a column of strings for a
-    `%s` cell must come through `_csv_quoted`.  A numpy column is converted
-    to Python numbers one chunk at a time, so no full-length list of it is
-    made.
+    `row_format` formats one row and ends in CRLF; the column of a `%s` cell
+    is a `_DateColumn`, decoded and quoted by `_csv_quoted` a chunk at a
+    time.  A numpy column is converted to Python numbers one chunk at a
+    time, so no full-length list of either is made.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            chunk = [column[start:start + CSV_CHUNK_ROWS] for column in columns]
+            stop = start + CSV_CHUNK_ROWS
+            chunk = [_csv_quoted(c.cells(start, stop)) if isinstance(c, _DateColumn)
+                     else c[start:stop] for c in columns]
             chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
             # interleaved by slice assignment: a tuple per row (zip) left
             # the heap fragmented, and peak RSS grew by 5 MB over 90 fits
@@ -135,76 +145,152 @@ def _write_json(path: str, payload: Dict) -> None:
         fh.write("\n")
 
 
-def read_series(path: str) -> Tuple[Optional[List[str]], np.ndarray]:
+class _DateColumn:
+    """Dates as one UTF-8 buffer, each date followed by LF, and the offset
+    where each date starts, then the buffer's end: no str per date."""
+
+    __slots__ = ("buffer", "offsets")
+
+    def __init__(self, buffer: bytearray, offsets: np.ndarray):
+        self.buffer = buffer
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def cells(self, start: int, stop: int) -> List[str]:
+        """The dates of rows start to stop (clipped to the column) as str."""
+        offsets = self.offsets[start:stop + 1].tolist()
+        cells = self.buffer[offsets[0]:offsets[-1]].decode("utf-8").split("\n")
+        cells.pop()  # after the last date's LF
+        if len(cells) == len(offsets) - 1:
+            return cells
+        # a date holds an LF, as only a quoted one read by `_read_rows` can
+        return [self.buffer[a:b - 1].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
+
+
+_Series = Tuple[Optional[_DateColumn], np.ndarray]
+
+
+def read_series(path: str) -> _Series:
     """Read a one-observation-per-line CSV: `value` or `date,value` rows.
 
     Unquoted rows with one column count, all values finite, are parsed in
-    bulk; any other input goes through `_read_rows`, which gives the same
-    result or names the offending line.
+    bulk a block at a time (`_read_blocks`); any other input goes through
+    `_read_rows`, which gives the same result or names the offending line.
+    Either returns the dates as a `_DateColumn`, or None for `value` rows.
     """
     if not os.path.exists(path):
         raise CliError(f"input file not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        parsed = _read_blocks(path)
+        if parsed is not None:
+            return parsed
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:  # a directory, or no permission to read
         raise CliError(f"cannot read input file {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        # one read decodes the whole file, so the offset is the file's
-        raise CliError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
     # a byte-order mark, as spreadsheet exports write, is not part of line 1;
     # utf-8-sig would drop it as well, but counts decode offsets after it
-    text = text.removeprefix("\ufeff")
-    parsed = _read_plain(text)
-    return _read_rows(path, text) if parsed is None else parsed
+    return _read_rows(path, _decoded(path, data, 0).removeprefix("\ufeff"))
 
 
-def _read_plain(text: str) -> Optional[Tuple[Optional[List[str]], np.ndarray]]:
+def _decoded(path: str, data: bytes, offset: int) -> str:
+    """`data`, the bytes at `offset` in the file, decoded as UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not valid UTF-8 at byte offset {offset + exc.start}") from exc
+
+
+def _read_blocks(path: str) -> Optional[_Series]:
     """Bulk parse of plain `value` or `date,value` rows; None for anything else.
 
     Plain means: no quote, NUL or bare CR; no blank or whitespace-only row;
     a header, if any, only on line 1; the same column count on every row;
-    every value finite.
+    every value finite.  The file is read in blocks of `_READ_BLOCK_BYTES`,
+    each extended to the end of its last line, and each block is checked
+    and parsed on its own: its values by one `np.loadtxt`, its dates as
+    bytes.  A block that is not plain ends the read.
     """
-    # quotes are csv's to undo, a NUL is an error to csv before Python 3.11,
-    # and a bare CR splits a line
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+    # the columns grow in place, so no list of blocks is joined at the end
+    values, buffer, offsets = array("d"), bytearray(), array("q", [0])
+    n_commas = None
+    offset = 0  # of the block in the file
+    with open(path, "rb") as fh:
+        while block := fh.read(_READ_BLOCK_BYTES):
+            if not block.endswith(b"\n"):
+                block += fh.readline()  # to the end of the line or the file
+            text = _decoded(path, block, offset)
+            # quotes are csv's to undo, a NUL is an error to csv before
+            # Python 3.11, and a bare CR splits a line
+            if b'"' in block or b"\0" in block or (
+                    b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
+                return None
+            if not block.endswith(b"\n"):  # the file's last line
+                block += b"\n"
+                text += "\n"
+            if offset == 0:
+                # a byte-order mark, as spreadsheet exports write, is not
+                # part of line 1; a line 1 whose last cell is not a number
+                # is a header
+                block = block.removeprefix(codecs.BOM_UTF8)
+                text = text.removeprefix("\ufeff")
+                line_1 = text[:text.index("\n")]
+                try:
+                    float(line_1.rpartition(",")[2])
+                except ValueError:
+                    block = block[block.index(b"\n") + 1:]
+                    text = text[len(line_1) + 1:]
+            offset = fh.tell()
+            if "\r" in text:
+                text = text.replace("\r\n", "\n")
+            # loadtxt would skip an empty line, and raises on a
+            # whitespace-only one
+            if text.startswith("\n") or "\n\n" in text:
+                return None
+            lines = text.split("\n")
+            lines.pop()  # after the last line ending
+            if not lines:
+                continue  # a first block of only a header
+            if n_commas is None:
+                n_commas = lines[0].count(",")
+                if n_commas > 1:
+                    return None
+            if n_commas == 0 and b"," in block:
+                return None
+            if n_commas == 1:
+                # one comma per line: commas and line endings alternate
+                raw = np.frombuffer(block, dtype=np.uint8)
+                marks = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+                commas, ends = marks[0::2], marks[1::2]
+                if (commas.size != ends.size or (raw[commas] != ord(",")).any()
+                        or (raw[ends] != ord("\n")).any()):
+                    return None
+            try:
+                block_values = np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
+                                          usecols=-1, ndmin=1)
+            except ValueError:
+                return None
+            if block_values.size != len(lines) or not np.isfinite(block_values).all():
+                return None
+            values.frombytes(block_values.view(np.uint8))
+            if n_commas == 1:
+                # each date with its line's LF: the line without [comma, LF)
+                inside = np.zeros(raw.size, dtype=np.int8)
+                inside[commas] = 1
+                inside[ends] = -1
+                sizes = commas - np.append(-1, ends[:-1])
+                offsets.frombytes((len(buffer) + np.cumsum(sizes)).view(np.uint8))
+                buffer += memoryview(raw[np.cumsum(inside, dtype=np.int8) == 0])
+    if not values:
         return None
-    lines = text.replace("\r\n", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final line ending
-    if lines:
-        try:
-            float(lines[0].rpartition(",")[2])
-        except ValueError:
-            del lines[0]  # header row
-    # loadtxt would skip an empty line, and raises on a whitespace-only one
-    if not lines or "" in lines:
-        return None
-    n_commas = lines[0].count(",")
-    if n_commas > 1 or set(map(str.count, lines, repeat(","))) != {n_commas}:
-        return None
-    try:
-        values = np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
-                            usecols=-1, ndmin=1)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    if n_commas == 0:
-        return None, values
-    # each line becomes its date in place, a chunk at a time, so that the
-    # lines and the dates never both exist in full
-    for start in range(0, len(lines), CSV_CHUNK_ROWS):
-        stop = start + CSV_CHUNK_ROWS
-        lines[start:stop] = [line.partition(",")[0] for line in lines[start:stop]]
-    return lines, values
+    return _columns(buffer, offsets, values, n_commas == 1)
 
 
-def _read_rows(path: str, text: str) -> Tuple[Optional[List[str]], np.ndarray]:
+def _read_rows(path: str, text: str) -> _Series:
     """The reference parse, one CSV row at a time; the source of `path:line:` errors."""
-    dates: List[str] = []
-    values: List[float] = []
+    values, buffer, offsets = array("d"), bytearray(), array("q", [0])
     n_cols = None
     reader = csv.reader(io.StringIO(text, newline=""))
     next_row_line = 1  # the physical line where the row after this one starts
@@ -232,7 +318,8 @@ def _read_rows(path: str, text: str) -> Tuple[Optional[List[str]], np.ndarray]:
                 raise CliError(f"{path}:{lineno}: not a finite number: {row[-1]!r}")
             values.append(value)
             if n_cols == 2:
-                dates.append(row[0])
+                buffer += row[0].encode("utf-8") + b"\n"
+                offsets.append(len(buffer))
     except csv.Error as exc:
         # a quote left open makes one field of the rest of the file, which
         # csv stops at its field size limit
@@ -240,7 +327,14 @@ def _read_rows(path: str, text: str) -> Tuple[Optional[List[str]], np.ndarray]:
                        f"({exc}); is a quote left open?") from exc
     if not values:
         raise CliError(f"no observations found in {path}")
-    return (dates if dates else None), np.array(values)
+    return _columns(buffer, offsets, values, n_cols == 2)
+
+
+def _columns(buffer: bytearray, offsets: array, values: array, dated: bool) -> _Series:
+    """The series of both readers from the columns they grew: numpy views of
+    the arrays, and the dates only for `date,value` rows."""
+    dates = _DateColumn(buffer, np.frombuffer(offsets, dtype=np.int64)) if dated else None
+    return dates, np.frombuffer(values, dtype=float)
 
 
 def _model_from_args(args) -> Tuple[ParamVector, LevySpec]:
@@ -324,7 +418,7 @@ def _finish_estimate(args, data: np.ndarray, result: GmmResult, payload: Dict) -
     return EXIT_OK if result.converged_step2 else EXIT_NONCONVERGED
 
 
-def _read_input(args) -> Tuple[Optional[List[str]], np.ndarray]:
+def _read_input(args) -> _Series:
     """`read_series` of --input, once the flags that need no data are valid."""
     factor = args.annualize_factor
     if factor is not None and not (math.isfinite(factor) and factor > 0.0):
@@ -455,15 +549,14 @@ def _model_curves(kind: ModelKind, beta: ParamVector, delta: float,
 
 def cmd_fit(args) -> int:
     kind = ModelKind(args.model)
-    dates, raw = _read_input(args)
+    dates, series = _read_input(args)
     if args.prices:
-        if np.any(raw <= 0.0):
+        if np.any(series <= 0.0):
             raise CliError("price series must be strictly positive to take log returns")
-        series = np.diff(np.log(raw))
-        if dates:
-            del dates[0]  # in place: a slice would copy the list
-    else:
-        series = raw
+        # the log in place and the prices released: no copy of them outlives this
+        series = np.diff(np.log(series, out=series))
+        if dates is not None:
+            dates = _DateColumn(dates.buffer, dates.offsets[1:])
     if series.size < 3:
         raise CliError("need at least 3 observations after differencing")
     fitted, result, payload = _run_estimate(args, series)
@@ -473,7 +566,7 @@ def cmd_fit(args) -> int:
     target = fitted * fitted if kind is ModelKind.SV else fitted
     lags = list(range(1, args.acf_lags + 1))
     emp_var = sample_var(target)
-    emp_acov = np.array([sample_acov(target, h) for h in lags])
+    emp_acov = sample_acov(target, lags)
     acf_columns = {}
     for step, beta in (("step1", result.step1_estimate), ("step2", result.step2_estimate)):
         model_acov, model_var = _model_curves(kind, beta, args.delta, lags)
@@ -482,7 +575,7 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     _write_csv(os.path.join(args.out_dir, "series_used.csv"), ["date", "value"], "%s,%.17g\r\n",
-               [_csv_quoted(dates) if dates else range(1, fitted.size + 1), fitted])
+               [range(1, fitted.size + 1) if dates is None else dates, fitted])
     for step, columns in acf_columns.items():
         _write_csv(os.path.join(args.out_dir, f"acf_{step}.csv"),
                    ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"],

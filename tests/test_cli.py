@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,8 +25,8 @@ from supou import (
     simulate_path,
 )
 from supou.cli import (
-    CSV_CHUNK_ROWS, PARAM_NAMES, CliError, _read_plain, _read_rows, _write_csv, main,
-    read_series,
+    CSV_CHUNK_ROWS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError, _read_blocks, _read_rows,
+    _write_csv, main, read_series,
 )
 from supou.descriptive import demean
 from supou.gmm import PARAMETER_BOX
@@ -75,7 +76,7 @@ class TestSimulate:
         schedule = ObservationSchedule(1.0, 25)
         sample = simulate_path(ModelKind.SUPOU, LevySpec.from_moments(0.015, 0.003),
                                PiSpec(4.0, -0.1), schedule, SimulationConfig(seed=6))
-        assert_array_equal([float(t) for t in times], schedule.times())
+        assert_array_equal([float(t) for t in times.cells(0, len(times))], schedule.times())
         assert_array_equal(values, sample.values)
 
     def test_truncation_lead_is_unknown(self, tmp_path):
@@ -495,6 +496,8 @@ def read_outcome(call):
         dates, values = call()
     except CliError as exc:
         return str(exc)
+    if dates is not None:
+        dates = dates.buffer, dates.offsets.dtype, dates.offsets.tobytes()
     return dates, values.dtype, values.shape, values.tobytes()
 
 
@@ -517,15 +520,19 @@ class TestReadSeries:
         "1.5\n2.5\n", "value\r\n1.5\r\n2.5\r\n", "date,value\n2020-01-01,1.5\n2020-01-02,-2",
         "a,1\nb, 2 \n", "7\n",
     ])
-    def test_plain_shapes_take_the_bulk_path(self, text):
-        assert _read_plain(text) is not None
+    def test_plain_shapes_take_the_bulk_path(self, tmp_path, text):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode())
+        assert _read_blocks(str(path)) is not None
 
     @pytest.mark.parametrize("text", [
         '"2020-01-01",1.5\n', "1.5\r2.5\r", "1.5\n\n2.5\n", "1.5\n  \n2.5\n", "a,1\n2\n",
         "1,2,3\n", "1.5\nnan\n", "1_000\n", "1.5\nvalue\n", "", "value\n",
     ])
-    def test_other_shapes_go_to_the_line_loop(self, text):
-        assert _read_plain(text) is None
+    def test_other_shapes_go_to_the_line_loop(self, tmp_path, text):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode())
+        assert _read_blocks(str(path)) is None
 
     @pytest.mark.parametrize("data", [b"0.5\n0.25\n0.75\n", b'"0.5"\n0.25\n0.75\n'],
                              ids=["bulk", "line-loop"])
@@ -561,6 +568,101 @@ class TestReadSeries:
         with pytest.raises(CliError, match=message) as exc:
             read_series(str(path))
         assert exc.value.code == 2
+
+
+# rows of 16 bytes: without a header, each block of the bulk reader holds
+# ROWS_PER_BLOCK of them
+ROWS_PER_BLOCK = _READ_BLOCK_BYTES // 16
+
+
+def fixed_rows(n, dated):
+    """`n` rows of 16 bytes each, `date,value` or `value`."""
+    return "".join(f"{i:06d},{1 + i % 7 / 8:.6f}\n" if dated else f"{1 + i % 7 / 8:.13f}\n"
+                   for i in range(n))
+
+
+class TestBlockReader:
+    """Files of more than one block of the bulk reader."""
+
+    @pytest.mark.parametrize("mode", ["--returns", "--prices"])
+    def test_blocks_match_the_line_loop(self, tmp_path, mode):
+        n = 3 * _READ_BLOCK_BYTES // 30  # rows of about 40 bytes
+        returns = sv_returns(n)
+        values = 100.0 * np.exp(np.cumsum(returns)) if mode == "--prices" else returns
+        dates = [f"día {i:06d} €" for i in range(n)]
+        data = b"\xef\xbb\xbf" + "date,value\r\n".encode() + "".join(
+            f"{d},{v!r}\r\n" for d, v in zip(dates, values.tolist())).encode()
+        assert len(data) > 3 * _READ_BLOCK_BYTES
+        path = tmp_path / "series.csv"
+        path.write_bytes(data)
+        assert _read_blocks(str(path)) is not None
+        text = data.decode("utf-8").removeprefix("\ufeff")
+        assert read_outcome(lambda: read_series(str(path))) == read_outcome(
+            lambda: _read_rows(str(path), text))
+        out = tmp_path / "fit"
+        assert run(["fit", mode, "--input", path, "--out-dir", out]) in (0, 3)
+        if mode == "--prices":
+            returns, dates = np.diff(np.log(values)), dates[1:]
+        fitted = [f"{v:.17g}" for v in demean(returns).tolist()]
+        assert read(out / "series_used.csv") == csv_writer_bytes(["date", "value"],
+                                                                 zip(dates, fitted))
+
+    @pytest.mark.parametrize("dated", [False, True], ids=["value", "date-value"])
+    @pytest.mark.parametrize("row", ["\n", "\r\n", "  \n"], ids=["empty", "crlf", "spaces"])
+    def test_blank_row_at_a_block_boundary_goes_to_the_line_loop(self, tmp_path, dated, row):
+        text = fixed_rows(ROWS_PER_BLOCK, dated) + row + fixed_rows(ROWS_PER_BLOCK, dated)
+        assert text[_READ_BLOCK_BYTES:].startswith(row)
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode())
+        assert _read_blocks(str(path)) is None
+        assert read_outcome(lambda: read_series(str(path))) == read_outcome(
+            lambda: _read_rows(str(path), text))
+
+    @pytest.mark.parametrize("dated, later, message", [
+        (False, "nan\n", "not a finite number: 'nan'"),
+        (True, "x,1,2\n", "inconsistent column count"),
+        # no comma and then two: the block's total of commas is unchanged
+        (True, "7\nx,1,2\n", "inconsistent column count"),
+        (False, "x,7\n", "inconsistent column count"),
+        (False, "value\n", "not a number: 'value'"),
+    ], ids=["nan", "two-commas", "none-then-two", "two-columns", "header"])
+    def test_a_later_block_names_its_line(self, tmp_path, capsys, dated, later, message):
+        header = "date,value\n" if dated else "value\n"
+        head = header + fixed_rows(2 * ROWS_PER_BLOCK, dated)
+        assert len(head) > 2 * _READ_BLOCK_BYTES
+        data = tmp_path / "series.csv"
+        data.write_text(head + later + fixed_rows(5, dated))
+        out = tmp_path / "o"
+        assert run(["estimate", "--input", data, "--out-dir", out]) == 2
+        assert f"{data}:{2 * ROWS_PER_BLOCK + 2}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_latin1_in_a_later_block_names_the_file_offset(self, tmp_path):
+        head = b"\xef\xbb\xbfdate,value\n" + fixed_rows(2 * ROWS_PER_BLOCK, True).encode()
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(head + b"caf\xe9,1.0\n" + fixed_rows(5, True).encode())
+        assert len(head) > 2 * _READ_BLOCK_BYTES
+        with pytest.raises(CliError, match=f"not valid UTF-8 at byte offset {len(head) + 3}$"):
+            read_series(str(path))
+
+    def test_memory_follows_the_series(self, tmp_path):
+        # daily prices as the fit benchmark writes them, 27 bytes a row
+        n = 100_000
+        prices = 100.0 * np.exp(np.cumsum(0.01 * np.random.default_rng(5).standard_normal(n)))
+        dates = (np.datetime64("1726-01-01", "D") + np.arange(n)).astype(str)
+        path = tmp_path / "prices.csv"
+        path.write_text("date,value\n" + "".join(
+            f"{d},{p!r}\n" for d, p in zip(dates.tolist(), prices.tolist())))
+        tracemalloc.start()
+        try:
+            series = read_series(str(path))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_array_equal(series[1], prices)
+        # one str per line or per date would take about 60 bytes a row
+        assert peak < 2 * path.stat().st_size
+        assert kept < 40 * n
 
 
 def sv_returns(n, seed=3):

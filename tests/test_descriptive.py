@@ -77,6 +77,19 @@ class TestBasicMoments:
     def test_too_short_for_lag(self):
         with pytest.raises(DataError):
             sample_acov([1.0, 2.0], 2)
+        with pytest.raises(DataError):
+            sample_acov([1.0, 2.0], [1, 2])
+        with pytest.raises(DomainError):
+            sample_acov([1.0, 2.0], [0, -1])
+
+    def test_lag_sequence_equals_the_per_lag_loop_bitwise(self):
+        x = np.random.default_rng(4).standard_normal(100_001) ** 2
+        lags = list(range(1, 21))
+        acov = sample_acov(x, lags)
+        assert isinstance(acov, np.ndarray) and acov.dtype == float
+        assert acov.tobytes() == np.array([sample_acov(x, h) for h in lags]).tobytes()
+        assert sample_acov(x, np.arange(3)).tobytes() == sample_acov(x, [0, 1, 2]).tobytes()
+        assert sample_acov(x, []).shape == (0,)
 
     @given(series, st.floats(-100.0, 100.0))
     @settings(max_examples=100, deadline=None)
