@@ -14,16 +14,19 @@ together, in closed form from the unit moments and slopes of `moments`.  trf
 asks for the Jacobian at the theta of its last residuals, so each fit
 evaluates the model once per theta.
 
-The sample moments and the moment covariance are sums over the N-m windows,
-taken one block of _WINDOW_BLOCK windows at a time: an estimate holds the
-series and one block of window products, never the full (N-m) x d matrix.
+An estimate passes over the data once.  `_window_moments` sums the N-m
+windows one block of _WINDOW_BLOCK windows at a time into their count, their
+mean b and their covariance C about b, so an estimate holds the series and
+one block of window products, never the full (N-m) x d matrix.  Step 1 needs
+only b; step 2's moment covariance at the step-1 targets t is
+C + (b-t)(b-t)'.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -129,7 +132,8 @@ _RIDGE_SCALE = 1e-10
 
 # windows per block of the moment sums, 1.3 MB of products at d = 10; it
 # holds every window of a study at 10^4 observations, so a study sums one
-# matrix of all its windows and its outputs do not depend on the block size
+# matrix of all its windows, its between-block covariance term is zero and
+# its outputs do not depend on the block size
 _WINDOW_BLOCK = 1 << 14
 
 
@@ -263,12 +267,36 @@ def _window_blocks(z: np.ndarray, conditions: MomentConditionSet):
         yield rows.T
 
 
-def _window_means(z: np.ndarray, conditions: MomentConditionSet) -> np.ndarray:
-    """Column means of the window products: block sums over N-m."""
+class _WindowMoments(NamedTuple):
+    """Count n, mean and covariance (divisor n) of the window products."""
+
+    n: int
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+def _window_moments(z: np.ndarray, conditions: MomentConditionSet) -> _WindowMoments:
+    """One pass of `_window_blocks`: the mean is the block sums over n, the
+    covariance each block's scatter about its own mean m_k plus
+    n_k (m_k - mean)(m_k - mean)', the exact merge of Chan, Golub & LeVeque
+    (1979)."""
     total = np.zeros(conditions.d)
+    blocks = []  # (n_k, m_k, scatter about m_k)
     for block in _window_blocks(z, conditions):
-        total += block.sum(axis=0)
-    return total / (z.size - conditions.m)
+        block_sum = block.sum(axis=0)
+        total += block_sum
+        block_mean = block_sum / block.shape[0]
+        block -= block_mean
+        # block.T @ block is a symmetric rank-k update, so it is exactly
+        # symmetric, and so is every term of the covariance
+        blocks.append((block.shape[0], block_mean, block.T @ block))
+    n = z.size - conditions.m
+    mean = total / n
+    cov = np.zeros((conditions.d, conditions.d))
+    for k, block_mean, scatter in blocks:
+        between = block_mean - mean
+        cov += scatter + k * np.outer(between, between)
+    return _WindowMoments(n, mean, cov / n)
 
 
 def sample_moments(data, beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
@@ -278,7 +306,7 @@ def sample_moments(data, beta: ParamVector, conditions: MomentConditionSet) -> n
     itself.
     """
     z = _estimation_series(data, conditions.kind)
-    return _window_means(z, conditions) - _moment_targets(beta, conditions)
+    return _window_moments(z, conditions).mean - _moment_targets(beta, conditions)
 
 
 def _require_pd(W, d: int) -> np.ndarray:
@@ -304,23 +332,23 @@ def objective(data, beta: ParamVector, W, conditions: MomentConditionSet) -> flo
 def estimate_weighting(data, beta1: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
     """Inverse of the (ridge-regularized) moment covariance at the step-1 estimate.
 
-    S = (1/n) sum_t f(window_t, beta1) f(window_t, beta1)', summed a block of
-    windows at a time (see `_window_blocks`).  A ridge of
-    _RIDGE_SCALE times the mean diagonal keeps S invertible in the
-    near-singular cases that show up for large lag sets; if S stays
-    non-invertible anyway, SingularWeightingError is raised.
+    S = (1/n) sum_t f(window_t, beta1) f(window_t, beta1)' over the n
+    windows.  With f = F_t - t for the window products F_t and the targets
+    t of beta1, S = C + (b - t)(b - t)', where b and C are the mean and
+    covariance of the F_t: the summary of `_window_moments`.  `data` is the
+    observations, or that summary, which `two_step_gmm` passes so that a fit
+    passes over the data once.  A ridge of _RIDGE_SCALE times the mean
+    diagonal keeps S invertible in the near-singular cases that show up for
+    large lag sets; if S stays non-invertible anyway,
+    SingularWeightingError is raised.
     """
-    z = _estimation_series(data, conditions.kind)
-    n = z.size - conditions.m
-    if n < conditions.d:
-        raise DataError(f"need at least d = {conditions.d} windows, got {n}")
-    targets = _moment_targets(beta1, conditions)
-    S = np.zeros((conditions.d, conditions.d))
-    for F in _window_blocks(z, conditions):
-        F -= targets
-        S += F.T @ F
-    S /= n
-    # each F.T @ F is a symmetric rank-k update, so S is exactly symmetric
+    summary = (data if isinstance(data, _WindowMoments)
+               else _window_moments(_estimation_series(data, conditions.kind), conditions))
+    if summary.n < conditions.d:
+        raise DataError(f"need at least d = {conditions.d} windows, got {summary.n}")
+    deviation = summary.mean - _moment_targets(beta1, conditions)
+    # C and the outer product are exactly symmetric, so S is too
+    S = summary.cov + np.outer(deviation, deviation)
     S = S + (_RIDGE_SCALE * np.trace(S) / conditions.d) * np.eye(conditions.d)
     try:
         chol = scipy.linalg.cho_factor(S)
@@ -575,8 +603,8 @@ def two_step_gmm(
         raise DomainError(f"conditions are for kind {conditions.kind}, not {kind}")
 
     z = _estimation_series(data, kind)
-    base = _window_means(z, conditions)
-    n_used = z.size - conditions.m
+    summary = _window_moments(z, conditions)
+    base = summary.mean
     if start is None:
         start = _moment_matched_start(z, conditions)
     center = transform(start)
@@ -584,7 +612,7 @@ def two_step_gmm(
     theta1, stop1 = minimize(*_residuals(base, np.eye(conditions.d), conditions), center, center)
     beta1 = untransform(theta1)
 
-    weighting = estimate_weighting(data, beta1, conditions)
+    weighting = estimate_weighting(summary, beta1, conditions)
     theta2, stop2 = minimize(*_residuals(base, weighting, conditions), theta1, center)
     beta2 = untransform(theta2)
 
@@ -599,7 +627,7 @@ def two_step_gmm(
         step1_objective=float(g1 @ g1),
         step2_objective=float(g2 @ weighting @ g2),
         weighting=weighting,
-        n_used=n_used,
+        n_used=summary.n,
         step1_stop=stop1,
         step2_stop=stop2,
     )

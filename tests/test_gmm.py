@@ -232,15 +232,22 @@ def sv_returns(n_obs, seed=3):
                                 SimulationConfig(seed=seed)).values)
 
 
-def one_matrix_sums(x, beta, conditions):
-    """Column means of the window products, and S = F'F/n of them centred at
-    the targets of `beta`, from one (N-m) x d matrix of every window."""
+def window_matrix(x, conditions):
+    """The (N-m) x d matrix F of the products of every window."""
     z = x * x if conditions.kind is ModelKind.SV else x
     n = z.size - conditions.m
     lead = z[:n]
-    F = np.stack([lead, lead * lead, *(lead * z[h:h + n] for h in conditions.lags)]).T
-    F_centred = F - _moment_targets(beta, conditions)
-    return F.mean(axis=0), (F_centred.T @ F_centred) / n
+    return np.stack([lead, lead * lead, *(lead * z[h:h + n] for h in conditions.lags)]).T
+
+
+def one_matrix_sums(x, beta, conditions):
+    """Column means b of the window products, and their S at the targets t of
+    `beta` as (F-b)'(F-b)/n + (b-t)(b-t)', from one matrix of every window."""
+    F = window_matrix(x, conditions)
+    b = F.mean(axis=0)
+    F_centred = F - b
+    deviation = b - _moment_targets(beta, conditions)
+    return b, (F_centred.T @ F_centred) / F.shape[0] + np.outer(deviation, deviation)
 
 
 def weighting_from(S, d):
@@ -272,10 +279,26 @@ class TestWindowBlocks:
         x = sv_returns(2 * _WINDOW_BLOCK + remainder + SV_CONDS.m)
         res = two_step_gmm(x, ModelKind.SV)
         means, S = one_matrix_sums(x, res.step1_estimate, SV_CONDS)
-        assert_allclose(gmm._window_means(x * x, SV_CONDS), means, rtol=1e-12)
+        assert_allclose(gmm._window_moments(x * x, SV_CONDS).mean, means, rtol=1e-12)
         g2 = means - _moment_targets(res.step2_estimate, SV_CONDS)
         W = weighting_from(S, SV_CONDS.d)
         assert_allclose(res.step2_objective, float(g2 @ W @ g2), rtol=1e-10)
+
+    @pytest.mark.parametrize("conditions", [SUPOU_CONDS, SV_CONDS], ids=["supou", "sv"])
+    def test_merged_blocks_give_the_direct_weighting(self, conditions):
+        # three whole blocks and a remainder: the covariance merged over the
+        # blocks, plus (b-t)(b-t)', against the direct sum of (F-t)(F-t)'
+        x = sv_returns(3 * _WINDOW_BLOCK + 7 + conditions.m)
+        if conditions.kind is ModelKind.SUPOU:
+            x = x + 0.05
+        W = estimate_weighting(x, BETA, conditions)
+        F_centred = window_matrix(x, conditions) - _moment_targets(BETA, conditions)
+        direct = weighting_from(F_centred.T @ F_centred / F_centred.shape[0], conditions.d)
+        assert np.abs(W - direct).max() <= 1e-13 * np.abs(direct).max()
+        z = gmm._estimation_series(x, conditions.kind)
+        summary = gmm._window_moments(z, conditions)
+        assert summary.n == F_centred.shape[0]
+        assert_array_equal(estimate_weighting(summary, BETA, conditions), W)
 
     def test_gmm_holds_a_few_copies_of_a_long_series(self):
         x = sv_returns(400_000)
@@ -340,7 +363,7 @@ class TestEstimateWeighting:
         monkeypatch.setattr(gmm, "_RIDGE_SCALE", 1e-6)
         x = np.full(50, 0.05)
         W = estimate_weighting(x, BETA, SUPOU_CONDS)
-        f = sample_moments(x[:6], BETA, SUPOU_CONDS)
+        f = sample_moments(x, BETA, SUPOU_CONDS)
         S = np.outer(f, f) + 1e-6 * (f @ f) / 6 * np.eye(6)
         assert_allclose(np.linalg.inv(S), W, rtol=1e-6)
 
@@ -535,7 +558,7 @@ class TestTwoStepGmm:
         W = res.weighting
         from supou.gmm import _estimation_series, _residuals
 
-        base = gmm._window_means(_estimation_series(x, ModelKind.SUPOU), SUPOU_CONDS)
+        base = gmm._window_moments(_estimation_series(x, ModelKind.SUPOU), SUPOU_CONDS).mean
         theta0 = transform(res.step1_estimate)
         for lam in (1.0, 7.0):
             theta, stop = minimize(*_residuals(base, lam * W, SUPOU_CONDS), theta0, theta0)
@@ -578,6 +601,23 @@ class TestTwoStepGmm:
         assert len(per_fit) == 2 and len(jac_calls) >= 2 and not any(jac_calls)
         for betas in per_fit:
             assert betas and len(set(betas)) == len(betas)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_one_pass_over_the_data(self, kind, monkeypatch):
+        # the series is validated and squared once: step 2's weighting is
+        # built from the window summary of step 1
+        x = simulate_path(kind, LevySpec(0.1, 3.0, 20.0), PiSpec.from_params(BETA),
+                          ObservationSchedule(1.0, 3000), SimulationConfig(seed=11)).values
+        calls = []
+        series = gmm._estimation_series
+
+        def counted_series(data, kind):
+            calls.append(kind)
+            return series(data, kind)
+
+        monkeypatch.setattr(gmm, "_estimation_series", counted_series)
+        two_step_gmm(demean(x) if kind is ModelKind.SV else x, kind)
+        assert calls == [kind]
 
     def test_insufficient_data(self):
         with pytest.raises(DataError):
