@@ -393,19 +393,21 @@ def cmd_simulate(args) -> int:
 def _run_estimate(args, series: np.ndarray) -> Tuple[np.ndarray, GmmResult, Dict]:
     """Cold-start two-step GMM of `args.model` on a series.
 
-    Returns the data fitted (SV returns demeaned), the result and its JSON
-    payload.
+    SV returns are demeaned in place: the series is the caller's own, the
+    reader's or `np.diff`'s, so no second copy of it is made.  Returns the
+    data fitted (`series` itself), the result and its JSON payload.
     """
     kind = ModelKind(args.model)
     conditions = _conditions_from_args(args, kind)
-    data = demean(series) if kind is ModelKind.SV else series
+    if kind is ModelKind.SV:
+        series -= series.mean()
     try:
-        result = two_step_gmm(data, kind, conditions=conditions)
+        result = two_step_gmm(series, kind, conditions=conditions)
     except DataError as exc:
         raise CliError(f"estimation failed: {exc}") from exc
     except (InitializationError, ParameterError) as exc:
         raise CliError(f"estimation failed: {exc}", code=EXIT_NONCONVERGED) from exc
-    return data, result, result.to_dict(annualize_factor=args.annualize_factor)
+    return series, result, result.to_dict(annualize_factor=args.annualize_factor)
 
 
 def _finish_estimate(args, data: np.ndarray, result: GmmResult, payload: Dict) -> int:
@@ -559,6 +561,9 @@ def cmd_fit(args) -> int:
             dates = _DateColumn(dates.buffer, dates.offsets[1:])
     if series.size < 3:
         raise CliError("need at least 3 observations after differencing")
+    if args.acf_lags >= series.size:
+        raise CliError(f"--acf-lags {args.acf_lags} needs more than {args.acf_lags} "
+                       f"observations, got {series.size}")
     fitted, result, payload = _run_estimate(args, series)
     payload["acf_decay_exponent_step2"] = 1.0 - result.step2_estimate.alpha_pi
 

@@ -14,12 +14,13 @@ together, in closed form from the unit moments and slopes of `moments`.  trf
 asks for the Jacobian at the theta of its last residuals, so each fit
 evaluates the model once per theta.
 
-An estimate passes over the data once.  `_window_moments` sums the N-m
-windows one block of _WINDOW_BLOCK windows at a time into their count, their
-mean b and their covariance C about b, so an estimate holds the series and
-one block of window products, never the full (N-m) x d matrix.  Step 1 needs
-only b; step 2's moment covariance at the step-1 targets t is
-C + (b-t)(b-t)'.
+An estimate passes over the data once.  `_window_moments` forms the N-m
+window products one block of _WINDOW_BLOCK windows at a time in one reused
+buffer and merges each block into a running sum and scatter as it goes, so an
+estimate holds the series, one block of products and a d x d state, never
+the full (N-m) x d matrix.  The result is the windows' count, mean b and
+covariance C about b.  Step 1 needs only b; step 2's moment covariance at the
+step-1 targets t is C + (b-t)(b-t)'.
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ _EDGE_SLACK = 1e-3
 # ridge added to the moment covariance, relative to its mean diagonal
 _RIDGE_SCALE = 1e-10
 
-# windows per block of the moment sums, 1.3 MB of products at d = 10; it
-# holds every window of a study at 10^4 observations, so a study sums one
-# matrix of all its windows, its between-block covariance term is zero and
-# its outputs do not depend on the block size
+# windows per block of the moment sums: the one product buffer, 1.3 MB at
+# d = 10; it holds every window of a study at 10^4 observations, so a study
+# sums one matrix of all its windows, merges no second block and its outputs
+# do not depend on the block size
 _WINDOW_BLOCK = 1 << 14
 
 
@@ -248,25 +249,6 @@ def _moment_targets(beta: ParamVector, conditions: MomentConditionSet) -> np.nda
     return _moment_model(beta, conditions)[0]
 
 
-def _window_blocks(z: np.ndarray, conditions: MomentConditionSet):
-    """Data products (z_t, z_t^2, z_t z_{t+h} ...) of the N-m windows t.
-
-    One row per window, yielded a block of _WINDOW_BLOCK rows at a time.
-    """
-    n = z.size - conditions.m
-    if n < 1:
-        raise DataError(f"need more than m = {conditions.m} observations, got {z.size}")
-    for start in range(0, n, _WINDOW_BLOCK):
-        k = min(_WINDOW_BLOCK, n - start)
-        # filled in place row by row and transposed, so each column is
-        # contiguous and column sums sum pairwise
-        rows = np.empty((conditions.d, k))
-        rows[0] = z[start:start + k]
-        for row, h in zip(rows[1:], (0,) + conditions.lags):
-            np.multiply(rows[0], z[start + h:start + h + k], out=row)
-        yield rows.T
-
-
 class _WindowMoments(NamedTuple):
     """Count n, mean and covariance (divisor n) of the window products."""
 
@@ -276,27 +258,39 @@ class _WindowMoments(NamedTuple):
 
 
 def _window_moments(z: np.ndarray, conditions: MomentConditionSet) -> _WindowMoments:
-    """One pass of `_window_blocks`: the mean is the block sums over n, the
-    covariance each block's scatter about its own mean m_k plus
-    n_k (m_k - mean)(m_k - mean)', the exact merge of Chan, Golub & LeVeque
-    (1979)."""
-    total = np.zeros(conditions.d)
-    blocks = []  # (n_k, m_k, scatter about m_k)
-    for block in _window_blocks(z, conditions):
-        block_sum = block.sum(axis=0)
-        total += block_sum
-        block_mean = block_sum / block.shape[0]
-        block -= block_mean
-        # block.T @ block is a symmetric rank-k update, so it is exactly
-        # symmetric, and so is every term of the covariance
-        blocks.append((block.shape[0], block_mean, block.T @ block))
+    """Summary of the data products (z_t, z_t^2, z_t z_{t+h} ...) of the N-m
+    windows t, formed and merged one block of _WINDOW_BLOCK windows at a time.
+
+    The mean is the block sums over n.  Each block adds its scatter about its
+    own mean m_k and, after the first, j k / (j + k) (m_k - M)(m_k - M)' for
+    the mean M of the j windows before it: the exact merge of Chan, Golub &
+    LeVeque (1979).
+    """
     n = z.size - conditions.m
-    mean = total / n
-    cov = np.zeros((conditions.d, conditions.d))
-    for k, block_mean, scatter in blocks:
-        between = block_mean - mean
-        cov += scatter + k * np.outer(between, between)
-    return _WindowMoments(n, mean, cov / n)
+    if n < 1:
+        raise DataError(f"need more than m = {conditions.m} observations, got {z.size}")
+    # one window per column, filled in place row by row, so each row is
+    # contiguous and row sums sum pairwise
+    buffer = np.empty((conditions.d, min(n, _WINDOW_BLOCK)))
+    total = np.zeros(conditions.d)
+    scatter = np.zeros((conditions.d, conditions.d))
+    for start in range(0, n, _WINDOW_BLOCK):
+        k = min(_WINDOW_BLOCK, n - start)
+        rows = buffer[:, :k]
+        rows[0] = z[start:start + k]
+        for row, h in zip(rows[1:], (0,) + conditions.lags):
+            np.multiply(rows[0], z[start + h:start + h + k], out=row)
+        block_sum = rows.sum(axis=1)
+        block_mean = block_sum / k
+        if start:
+            between = block_mean - total / start
+            scatter += (start * k / (start + k)) * np.outer(between, between)
+        total += block_sum
+        rows -= block_mean[:, None]
+        # rows @ rows.T is a symmetric rank-k update, so it is exactly
+        # symmetric, and so is every term of the covariance
+        scatter += rows @ rows.T
+    return _WindowMoments(n, total / n, scatter / n)
 
 
 def sample_moments(data, beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:

@@ -26,7 +26,7 @@ from supou import (
 )
 from supou.cli import (
     CSV_CHUNK_ROWS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError, _read_blocks, _read_rows,
-    _write_csv, main, read_series,
+    _run_estimate, _write_csv, build_parser, main, read_series,
 )
 from supou.descriptive import demean
 from supou.gmm import PARAMETER_BOX
@@ -307,19 +307,26 @@ class TestShortInput:
 
 
 class TestFailedCommandWritesNothing:
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--delta", 0, "--n-obs", 10],
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--delta", 0, "--n-obs", 10], "delta must be > 0"),
         # expected jump counts beyond the bound: an infinite horizon, and a
         # jump rate of about 3e296 from the tiny variance
-        ["simulate", "--model", "integrated", "--delta", 1e308, "--n-obs", 5],
-        ["study", "--model", "sv", "--sigma2", 1e-300, "--n-obs", 10, "--n-paths", 1],
-        ["estimate", "--model", "sv", "--input", "RETURNS", "--annualize-factor", 0],
-        ["fit", "--returns", "--input", "RETURNS", "--annualize-factor", "nan"],
-        ["fit", "--returns", "--input", "RETURNS", "--acf-lags", 300],
+        (["simulate", "--model", "integrated", "--delta", 1e308, "--n-obs", 5],
+         "expected inf jumps"),
+        (["study", "--model", "sv", "--sigma2", 1e-300, "--n-obs", 10, "--n-paths", 1],
+         "more than 1e+08"),
+        (["estimate", "--model", "sv", "--input", "RETURNS", "--annualize-factor", 0],
+         "--annualize-factor must be finite and > 0, got 0.0"),
+        (["fit", "--returns", "--input", "RETURNS", "--annualize-factor", "nan"],
+         "--annualize-factor must be finite and > 0, got nan"),
+        (["fit", "--returns", "--input", "RETURNS", "--acf-lags", 300],
+         "--acf-lags 300 needs more than 300 observations, got 300"),
     ], ids=["sim-delta", "sim-jump-bound", "study-jump-bound", "est-annualize", "fit-annualize",
             "fit-acf-lags"])
-    def test_exit_2_and_no_out_dir(self, tmp_path, argv):
-        # fit reaches an invalid --acf-lags only after estimating
+    def test_exit_2_and_no_out_dir(self, tmp_path, capsys, monkeypatch, argv, message):
+        # every flag is checked before estimating: two_step_gmm is never called
+        calls = []
+        monkeypatch.setattr("supou.cli.two_step_gmm", lambda *a, **k: calls.append(a))
         data = tmp_path / "returns.csv"
         y = simulate_path(ModelKind.SV, LevySpec.from_moments(0.015, 0.003), PiSpec(4.0, -0.1),
                           ObservationSchedule(1.0, 300), SimulationConfig(seed=2)).values
@@ -327,6 +334,8 @@ class TestFailedCommandWritesNothing:
         out = tmp_path / "o"
         argv = [data if arg == "RETURNS" else arg for arg in argv]
         assert run([*argv, "--out-dir", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not calls
         assert not out.exists()
 
 
@@ -436,6 +445,15 @@ class TestEstimateMatchesFit:
         fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
         del fit["acf_decay_exponent_step2"]
         assert fit == estimate
+
+    def test_sv_returns_are_demeaned_in_place(self):
+        y = simulate_path(ModelKind.SV, LevySpec.from_moments(0.015, 0.003), PiSpec(4.0, -0.1),
+                          ObservationSchedule(1.0, 1500), SimulationConfig(seed=6)).values + 0.01
+        expected = demean(y.copy())
+        args = build_parser().parse_args(["estimate", "--model", "sv", "--input", "unused"])
+        fitted, _, _ = _run_estimate(args, y)
+        assert fitted is y
+        assert_array_equal(fitted, expected)
 
 
 class TestHugeValues:

@@ -284,11 +284,16 @@ class TestWindowBlocks:
         W = weighting_from(S, SV_CONDS.d)
         assert_allclose(res.step2_objective, float(g2 @ W @ g2), rtol=1e-10)
 
-    @pytest.mark.parametrize("conditions", [SUPOU_CONDS, SV_CONDS], ids=["supou", "sv"])
-    def test_merged_blocks_give_the_direct_weighting(self, conditions):
+    # a remainder of 1 is a last block of one window: its scatter is zero and
+    # only its between-block term remains; ids without one are a remainder of 7
+    @pytest.mark.parametrize("conditions, remainder", [
+        (SUPOU_CONDS, 7), (SV_CONDS, 7), (SUPOU_CONDS, 0), (SV_CONDS, 0),
+        (SUPOU_CONDS, 1), (SV_CONDS, 1),
+    ], ids=["supou", "sv", "supou-0", "sv-0", "supou-1", "sv-1"])
+    def test_merged_blocks_give_the_direct_weighting(self, conditions, remainder):
         # three whole blocks and a remainder: the covariance merged over the
         # blocks, plus (b-t)(b-t)', against the direct sum of (F-t)(F-t)'
-        x = sv_returns(3 * _WINDOW_BLOCK + 7 + conditions.m)
+        x = sv_returns(3 * _WINDOW_BLOCK + remainder + conditions.m)
         if conditions.kind is ModelKind.SUPOU:
             x = x + 0.05
         W = estimate_weighting(x, BETA, conditions)
