@@ -6,12 +6,14 @@ validated and its outputs computed (simulate's path files excepted: each is
 written as it is drawn, the directory with the first), so a command that
 fails leaves none.
 All file outputs are UTF-8. Every CSV goes through `_write_csv`, which
-writes what the csv module's default writer would: CRLF line endings,
-minimal quoting (string cells through `_csv_quoted`); floats at full
-float64 precision, so reruns with the same seed are byte-identical.
+writes, as bytes, what the csv module's default writer would: CRLF line
+endings, minimal quoting (date cells through `_csv_quoted`); floats as
+`%.17g`, at full float64 precision, so reruns with the same seed are
+byte-identical.  A chunk of many floats gets its digits from `_g17`, one
+numpy pass instead of a float-to-text conversion per cell.
 An input series is read a block of bytes at a time into one float64 array
 and, for `date,value` rows, one `_DateColumn`: the dates as one UTF-8
-buffer and offsets, turned into str only a chunk of rows at a time when
+buffer and offsets, split into bytes only a chunk of rows at a time when
 `series_used.csv` is written.
 """
 
@@ -70,9 +72,15 @@ START_JITTER = 0.5
 # rows per chunk of the CSV writer: `_write_csv` formats this many rows
 # with one %-operation
 CSV_CHUNK_ROWS = 4096
+# a chunk with fewer `%.17g` cells than this formats them by `%`, which is
+# faster than `_g17`'s fixed cost of about 40 numpy calls
+_G17_MIN_CELLS = 160
 # bytes per block of the bulk CSV reader, which extends a block to the end
 # of its last line
 _READ_BLOCK_BYTES = 1 << 16
+# every byte but the comma and LF, which `_read_blocks` deletes to see a
+# block's separators
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 class CliError(Exception):
@@ -109,34 +117,132 @@ def _write_csv(path: str, header: Sequence[str], row_format: str,
     """Write equal-length columns as csv's writer would, one %-format per chunk.
 
     `row_format` formats one row and ends in CRLF; the column of a `%s` cell
-    is a `_DateColumn`, decoded and quoted by `_csv_quoted` a chunk at a
-    time.  A numpy column is converted to Python numbers one chunk at a
-    time, so no full-length list of either is made.
+    is a `_DateColumn`, whose dates are written as the bytes they were read
+    as, quoted by `_csv_quoted`.  A chunk with at least `_G17_MIN_CELLS`
+    `%.17g` cells has them all formatted by one `_g17` call; a numpy column
+    is converted to Python numbers one chunk at a time, so no full-length
+    list of either is made.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    fields = row_format.removesuffix("\r\n").split(",")
+    floats = [j for j, field in enumerate(fields) if field == "%.17g"]
+    # a `%s` cell comes as bytes, and so does a `%.17g` cell of a chunk
+    # formatted by `_g17`
+    byte_formats = [(",".join("%b" if field == "%s" or (by_g17 and field == "%.17g") else field
+                              for field in fields) + "\r\n").encode()
+                    for by_g17 in (False, True)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("utf-8"))
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
             stop = start + CSV_CHUNK_ROWS
             chunk = [_csv_quoted(c.cells(start, stop)) if isinstance(c, _DateColumn)
                      else c[start:stop] for c in columns]
+            n_rows = len(chunk[0])
+            by_g17 = len(floats) * n_rows >= _G17_MIN_CELLS
+            if by_g17:
+                texts = _g17(np.array([chunk[j] for j in floats], dtype=float).ravel())
+                for i, j in enumerate(floats):
+                    chunk[j] = texts[i * n_rows:(i + 1) * n_rows]
             chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
             # interleaved by slice assignment: a tuple per row (zip) left
             # the heap fragmented, and peak RSS grew by 5 MB over 90 fits
-            cells = [None] * (len(chunk) * len(chunk[0]))
+            cells = [None] * (len(chunk) * n_rows)
             for j, column in enumerate(chunk):
                 cells[j::len(chunk)] = column
-            fh.write(row_format * len(chunk[0]) % tuple(cells))
+            fh.write(byte_formats[by_g17] * n_rows % tuple(cells))
 
 
-def _csv_quoted(cells: List[str]) -> List[str]:
+def _csv_quoted(cells: List[bytes]) -> List[bytes]:
     """`cells` quoted by csv's minimal rule: a cell holding `,`, `"`, CR or LF
-    is wrapped in `"` with its inner `"` doubled; `cells` itself when none does."""
-    quote_chars = ',"\r\n'
-    joined = "".join(cells)  # one scan for the common case of no such cell
+    is wrapped in `"` with its inner `"` doubled; `cells` itself when none
+    does.  The rule reads UTF-8 bytes as it reads text, since no byte of a
+    multi-byte character is ASCII."""
+    quote_chars = (b",", b'"', b"\r", b"\n")
+    joined = b"".join(cells)  # one scan for the common case of no such cell
     if not any(char in joined for char in quote_chars):
         return cells
-    return ['"' + cell.replace('"', '""') + '"' if any(char in cell for char in quote_chars)
-            else cell for cell in cells]
+    return [b'"' + cell.replace(b'"', b'""') + b'"'
+            if any(char in cell for char in quote_chars) else cell for cell in cells]
+
+
+def _g17(values: np.ndarray) -> List[bytes]:
+    """`b"%.17g" % v` for each v of `values`: by `_g17_fixed` where it
+    applies, by `%` for the rest."""
+    texts, fixed = _g17_fixed(values)
+    if fixed.all():
+        return texts.tolist()
+    cells = np.zeros(values.size, dtype=texts.dtype)
+    cells[fixed] = texts
+    cells = cells.tolist()
+    for i in np.flatnonzero(~fixed).tolist():
+        cells[i] = b"%.17g" % values[i]
+    return cells
+
+
+def _g17_fixed(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`b"%.17g" % v` for the v of `values` with 1e-4 <= |v| < 1, in numpy.
+
+    Returns the texts, as a bytes array, and the mask of the values they format.
+    With E = floor(log10|v|), 10^k for k = 16 - E <= 20 is an exact double,
+    and Dekker's two-product gives hi + lo = |v|*10^k with no rounding.
+    hi >= 2^53 is an even integer, so D = hi + rint(lo) is the product
+    rounded to an integer with ties to even, as `%` rounds.  When D has 17
+    digits, E is the exponent of the rounded value, and `%.17g` writes the
+    sign, "0.", -E - 1 zeros, then D without its trailing zeros.  A value
+    whose D does not have 17 digits is left out: the few within 5 ulps
+    below 0.1, 0.01 and 0.001, where log10 rounds up to the power of ten.
+    """
+    magnitude = np.abs(values)
+    # comparisons with nan are False, so only finite values go on
+    fixed = (magnitude >= 1e-4) & (magnitude < 1.0)
+    magnitude = magnitude[fixed]
+    places = -1 - np.clip(np.floor(np.log10(magnitude)), -4, -1).astype(np.intp)  # -E - 1
+    product = magnitude * _G17_SCALES[places]
+    v_hi, v_lo = _dekker_split(magnitude)
+    lo = (((v_hi * _G17_SCALES_HI[places] - product) + v_hi * _G17_SCALES_LO[places]
+           + v_lo * _G17_SCALES_HI[places]) + v_lo * _G17_SCALES_LO[places])
+    digits = product.astype(np.int64) + np.rint(lo).astype(np.int64)
+    exact = (digits >= 10**16) & (digits < 10**17)
+    if not exact.all():
+        fixed[fixed] = exact
+        digits, places = digits[exact], places[exact]
+    # D as a leading digit and four groups of four, each group one uint32
+    # of ASCII digits from `_DIGITS4`; scalar divisors keep the int64
+    # divisions fast
+    high = digits // 10**8
+    low = digits - high * 10**8
+    lead = high // 10**8
+    high -= lead * 10**8
+    groups = np.empty((digits.size, 4), dtype=np.intp)
+    groups[:, 0] = high // 10**4
+    groups[:, 1] = high - groups[:, 0] * 10**4
+    groups[:, 2] = low // 10**4
+    groups[:, 3] = low - groups[:, 2] * 10**4
+    words = np.empty((digits.size, 5), dtype=np.uint32)
+    words[:, 1:] = _DIGITS4[groups]
+    chars = words.view(np.uint8)
+    chars[:, 3] = lead + ord("0")
+    text = np.char.rstrip(chars[:, 3:].view("S17")[:, 0], b"0")
+    prefix = _G17_PREFIXES[places + 4 * np.signbit(values[fixed])]
+    return np.char.add(prefix, text), fixed
+
+
+def _dekker_split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """hi + lo = a exactly, each with at most 26 significant bits."""
+    scaled = 134217729.0 * a  # 2^27 + 1
+    hi = scaled - (scaled - a)
+    return hi, a - hi
+
+
+# `_g17_fixed`'s tables, each small enough to build at import: 10^k for
+# k = 17..20 and its Dekker halves, by -E - 1; the ASCII digits of 0000 to
+# 9999 as one uint32 each; the text before D, by -E - 1 and then by sign
+_G17_SCALES = np.array([1e17, 1e18, 1e19, 1e20])
+_G17_SCALES_HI, _G17_SCALES_LO = _dekker_split(_G17_SCALES)
+# (in uint16: int64 temporaries raised the peak RSS of an import by 1 MB)
+_DIGITS4 = ((np.arange(10_000, dtype=np.uint16)[:, None]
+             // np.array([1000, 100, 10, 1], dtype=np.uint16)) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_G17_PREFIXES = np.array([b"0.", b"0.0", b"0.00", b"0.000", b"-0.", b"-0.0", b"-0.00", b"-0.000"])
 
 
 def _write_json(path: str, payload: Dict) -> None:
@@ -158,15 +264,16 @@ class _DateColumn:
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def cells(self, start: int, stop: int) -> List[str]:
-        """The dates of rows start to stop (clipped to the column) as str."""
+    def cells(self, start: int, stop: int) -> List[bytes]:
+        """The dates of rows start to stop (clipped to the column) as UTF-8 bytes."""
         offsets = self.offsets[start:stop + 1].tolist()
-        cells = self.buffer[offsets[0]:offsets[-1]].decode("utf-8").split("\n")
+        dates = memoryview(self.buffer)[offsets[0]:offsets[-1]]
+        cells = bytes(dates).split(b"\n")
         cells.pop()  # after the last date's LF
         if len(cells) == len(offsets) - 1:
             return cells
         # a date holds an LF, as only a quoted one read by `_read_rows` can
-        return [self.buffer[a:b - 1].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
+        return [bytes(self.buffer[a:b - 1]) for a, b in zip(offsets, offsets[1:])]
 
 
 _Series = Tuple[Optional[_DateColumn], np.ndarray]
@@ -206,12 +313,14 @@ def _decoded(path: str, data: bytes, offset: int) -> str:
 def _read_blocks(path: str) -> Optional[_Series]:
     """Bulk parse of plain `value` or `date,value` rows; None for anything else.
 
-    Plain means: no quote, NUL or bare CR; no blank or whitespace-only row;
-    a header, if any, only on line 1; the same column count on every row;
-    every value finite.  The file is read in blocks of `_READ_BLOCK_BYTES`,
-    each extended to the end of its last line, and each block is checked
-    and parsed on its own: its values by one `np.loadtxt`, its dates as
-    bytes.  A block that is not plain ends the read.
+    Plain means: no quote, NUL, bare CR or underscore; no blank or
+    whitespace-only row; a header, if any, only on line 1; the same column
+    count on every row; every value finite.  The file is read in blocks of
+    `_READ_BLOCK_BYTES`, each extended to the end of its last line, and each
+    block is checked and parsed on its own, as bytes: one split at its
+    commas and line endings gives the cells of both columns, the values
+    parsed by `float` as `_read_rows` parses them.  A block that is not
+    plain ends the read.
     """
     # the columns grow in place, so no list of blocks is joined at the end
     values, buffer, offsets = array("d"), bytearray(), array("q", [0])
@@ -221,68 +330,55 @@ def _read_blocks(path: str) -> Optional[_Series]:
         while block := fh.read(_READ_BLOCK_BYTES):
             if not block.endswith(b"\n"):
                 block += fh.readline()  # to the end of the line or the file
-            text = _decoded(path, block, offset)
+            _decoded(path, block, offset)  # raises on bytes that are not UTF-8
             # quotes are csv's to undo, a NUL is an error to csv before
-            # Python 3.11, and a bare CR splits a line
-            if b'"' in block or b"\0" in block or (
+            # Python 3.11, a bare CR splits a line, and `float` reads an
+            # underscore as a digit separator (1_000), which no plain
+            # number holds
+            if b'"' in block or b"\0" in block or b"_" in block or (
                     b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
                 return None
             if not block.endswith(b"\n"):  # the file's last line
                 block += b"\n"
-                text += "\n"
             if offset == 0:
                 # a byte-order mark, as spreadsheet exports write, is not
                 # part of line 1; a line 1 whose last cell is not a number
-                # is a header
+                # (as str, which `float` reads as `_read_rows` does) is a header
                 block = block.removeprefix(codecs.BOM_UTF8)
-                text = text.removeprefix("\ufeff")
-                line_1 = text[:text.index("\n")]
+                line_1 = block[:block.index(b"\n")]
                 try:
-                    float(line_1.rpartition(",")[2])
+                    float(line_1.rpartition(b",")[2].decode("utf-8"))
                 except ValueError:
-                    block = block[block.index(b"\n") + 1:]
-                    text = text[len(line_1) + 1:]
+                    block = block[len(line_1) + 1:]
             offset = fh.tell()
-            if "\r" in text:
-                text = text.replace("\r\n", "\n")
-            # loadtxt would skip an empty line, and raises on a
-            # whitespace-only one
-            if text.startswith("\n") or "\n\n" in text:
-                return None
-            lines = text.split("\n")
-            lines.pop()  # after the last line ending
-            if not lines:
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n")
+            if not block:
                 continue  # a first block of only a header
             if n_commas is None:
-                n_commas = lines[0].count(",")
+                n_commas = block[:block.index(b"\n")].count(b",")
                 if n_commas > 1:
                     return None
-            if n_commas == 0 and b"," in block:
+            # each line has n_commas commas: the separators, in order, are
+            # n_commas commas and an LF per line
+            n_lines = block.count(b"\n")
+            if block.translate(None, _NOT_SEPARATORS) != (b"," * n_commas + b"\n") * n_lines:
                 return None
-            if n_commas == 1:
-                # one comma per line: commas and line endings alternate
-                raw = np.frombuffer(block, dtype=np.uint8)
-                marks = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-                commas, ends = marks[0::2], marks[1::2]
-                if (commas.size != ends.size or (raw[commas] != ord(",")).any()
-                        or (raw[ends] != ord("\n")).any()):
-                    return None
+            cells = block.replace(b"\n", b",").split(b",")
+            cells.pop()  # after the last line ending
             try:
-                block_values = np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
-                                          usecols=-1, ndmin=1)
+                block_values = np.array(list(map(float, cells[n_commas::n_commas + 1])))
             except ValueError:
                 return None
-            if block_values.size != len(lines) or not np.isfinite(block_values).all():
+            if not np.isfinite(block_values).all():
                 return None
             values.frombytes(block_values.view(np.uint8))
             if n_commas == 1:
-                # each date with its line's LF: the line without [comma, LF)
-                inside = np.zeros(raw.size, dtype=np.int8)
-                inside[commas] = 1
-                inside[ends] = -1
-                sizes = commas - np.append(-1, ends[:-1])
-                offsets.frombytes((len(buffer) + np.cumsum(sizes)).view(np.uint8))
-                buffer += memoryview(raw[np.cumsum(inside, dtype=np.int8) == 0])
+                # each date with its line's LF
+                dates = b"\n".join(cells[0::2]) + b"\n"
+                ends = np.flatnonzero(np.frombuffer(dates, dtype=np.uint8) == ord("\n"))
+                offsets.frombytes((ends + (len(buffer) + 1)).view(np.uint8))
+                buffer += dates
     if not values:
         return None
     return _columns(buffer, offsets, values, n_commas == 1)
@@ -579,8 +675,10 @@ def cmd_fit(args) -> int:
                              (emp_acov / emp_var).tolist(), (model_acov / model_var).tolist()]
     os.makedirs(args.out_dir, exist_ok=True)
 
-    _write_csv(os.path.join(args.out_dir, "series_used.csv"), ["date", "value"], "%s,%.17g\r\n",
-               [range(1, fitted.size + 1) if dates is None else dates, fitted])
+    dates, row_format = ((range(1, fitted.size + 1), "%d,%.17g\r\n") if dates is None
+                         else (dates, "%s,%.17g\r\n"))
+    _write_csv(os.path.join(args.out_dir, "series_used.csv"), ["date", "value"], row_format,
+               [dates, fitted])
     for step, columns in acf_columns.items():
         _write_csv(os.path.join(args.out_dir, f"acf_{step}.csv"),
                    ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"],

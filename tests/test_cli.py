@@ -25,8 +25,8 @@ from supou import (
     simulate_path,
 )
 from supou.cli import (
-    CSV_CHUNK_ROWS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError, _read_blocks, _read_rows,
-    _run_estimate, _write_csv, build_parser, main, read_series,
+    CSV_CHUNK_ROWS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError, _g17, _g17_fixed, _read_blocks,
+    _read_rows, _run_estimate, _write_csv, build_parser, main, read_series,
 )
 from supou.descriptive import demean
 from supou.gmm import PARAMETER_BOX
@@ -751,3 +751,73 @@ class TestCsvBytes:
             assert read(path) == csv_writer_bytes(header, rows), path.name
             # integers and floats alike as %.17g of their value
             assert all(cell == f"{float(cell):.17g}" for row in rows for cell in row), path.name
+
+    @pytest.mark.parametrize("labels", ["non-ascii", "lone-cr"])
+    def test_dates_are_written_as_read(self, tmp_path, labels):
+        n = CSV_CHUNK_ROWS + 7
+        returns = sv_returns(n)
+        dates = [f"día {i:05d} € 日" if labels == "non-ascii" else f"{i}\rMon" for i in range(n)]
+        data = tmp_path / "returns.csv"
+        data.write_bytes(csv_writer_bytes(["date", "value"],
+                                          zip(dates, map(repr, returns.tolist()))))
+        out = tmp_path / "fit"
+        assert run(["fit", "--returns", "--input", data, "--out-dir", out]) in (0, 3)
+        fitted = [f"{v:.17g}" for v in demean(returns).tolist()]
+        assert read(out / "series_used.csv") == csv_writer_bytes(["date", "value"],
+                                                                 zip(dates, fitted))
+
+
+def ulps_around(value, n):
+    """The doubles within `n` ulps of `value`, `value` included."""
+    return (np.array([value]).view(np.int64) + np.arange(-n, n + 1)).view(float)
+
+
+def dyadic_ties():
+    """Doubles m / 2^(k+1), m odd, whose 17-digit rounding is a tie: m 5^k / 2
+    lies in [1e16, 1e17) for k = 16 - E, E = -4, ..., -1."""
+    ties = []
+    for k in range(17, 21):
+        first, stop = -(-2 * 10**16 // 5**k), 2 * 10**17 // 5**k
+        ties.append(np.arange(first | 1, stop, 2) / 2.0 ** (k + 1))
+    return np.concatenate(ties)
+
+
+class TestG17:
+    """`_g17` against `b"%.17g" % v`, the bytes of every `%.17g` CSV cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_any_float(self, values):
+        assert _g17(np.array(values)) == [b"%.17g" % v for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-4, max_value=1.0, exclude_max=True), min_size=1,
+                    max_size=40), st.booleans())
+    def test_fixed_range(self, values, negative):
+        values = [-v for v in values] if negative else values
+        assert _g17(np.array(values)) == [b"%.17g" % v for v in values]
+
+    def test_edges(self):
+        values = np.concatenate([
+            [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308],
+            *(ulps_around(float(f"1e{k}"), 200) for k in range(-5, 2)),
+            dyadic_ties(),
+        ])
+        values = np.concatenate([values, -values])
+        assert _g17(values) == [b"%.17g" % v for v in values.tolist()]
+        # the ties are taken in numpy, which must round them to even as % does
+        ties = dyadic_ties()
+        assert _g17_fixed(ties)[1].all()
+
+    def test_returns_take_no_fallback(self):
+        # a fall back to % on every cell would still give the right bytes, only slowly
+        rng = np.random.default_rng(0)
+        returns = np.concatenate([
+            demean(sv_returns(CSV_CHUNK_ROWS)),
+            rng.uniform(1.0, 10.0, CSV_CHUNK_ROWS) * 10.0 ** rng.integers(-4, 0, CSV_CHUNK_ROWS),
+        ])
+        returns = returns[(np.abs(returns) >= 1e-4) & (np.abs(returns) < 1.0)]
+        assert returns.size > 1.5 * CSV_CHUNK_ROWS
+        texts, fixed = _g17_fixed(returns)
+        assert fixed.all()
+        assert texts.tolist() == [b"%.17g" % v for v in returns.tolist()]
