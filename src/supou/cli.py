@@ -11,10 +11,12 @@ endings, minimal quoting (date cells through `_csv_quoted`); floats as
 `%.17g`, at full float64 precision, so reruns with the same seed are
 byte-identical.  A chunk of many floats gets its digits from `_g17`, one
 numpy pass instead of a float-to-text conversion per cell.
-An input series is read a block of bytes at a time into one float64 array
-and, for `date,value` rows, one `_DateColumn`: the dates as one UTF-8
-buffer and offsets, split into bytes only a chunk of rows at a time when
-`series_used.csv` is written.
+An input series is read a block of bytes at a time, by `_blocks` alone,
+and parsed in bulk or by csv's row loop into one float64 array and, for
+`date,value` rows, one `_DateColumn`: the dates as one UTF-8 buffer and
+offsets, split into bytes only a chunk of rows at a time when
+`series_used.csv` is written.  No copy of the whole file is held, unless
+it has no LF to end a block at.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ import os
 import sys
 from array import array
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, fields
 from functools import cache, partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,8 +120,8 @@ def _write_csv(path: str, header: Sequence[str], row_format: str,
     """Write equal-length columns as csv's writer would, one %-format per chunk.
 
     `row_format` formats one row and ends in CRLF; the column of a `%s` cell
-    is a `_DateColumn`, whose dates are written as the bytes they were read
-    as, quoted by `_csv_quoted`.  A chunk with at least `_G17_MIN_CELLS`
+    is a `_DateColumn`, whose `cells` give the dates as the bytes they were
+    read as, quoted as csv quotes.  A chunk with at least `_G17_MIN_CELLS`
     `%.17g` cells has them all formatted by one `_g17` call; a numpy column
     is converted to Python numbers one chunk at a time, so no full-length
     list of either is made.
@@ -134,8 +137,8 @@ def _write_csv(path: str, header: Sequence[str], row_format: str,
         fh.write((",".join(header) + "\r\n").encode("utf-8"))
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
             stop = start + CSV_CHUNK_ROWS
-            chunk = [_csv_quoted(c.cells(start, stop)) if isinstance(c, _DateColumn)
-                     else c[start:stop] for c in columns]
+            chunk = [c.cells(start, stop) if isinstance(c, _DateColumn) else c[start:stop]
+                     for c in columns]
             n_rows = len(chunk[0])
             by_g17 = len(floats) * n_rows >= _G17_MIN_CELLS
             if by_g17:
@@ -151,17 +154,14 @@ def _write_csv(path: str, header: Sequence[str], row_format: str,
             fh.write(byte_formats[by_g17] * n_rows % tuple(cells))
 
 
-def _csv_quoted(cells: List[bytes]) -> List[bytes]:
-    """`cells` quoted by csv's minimal rule: a cell holding `,`, `"`, CR or LF
-    is wrapped in `"` with its inner `"` doubled; `cells` itself when none
-    does.  The rule reads UTF-8 bytes as it reads text, since no byte of a
-    multi-byte character is ASCII."""
-    quote_chars = (b",", b'"', b"\r", b"\n")
-    joined = b"".join(cells)  # one scan for the common case of no such cell
-    if not any(char in joined for char in quote_chars):
-        return cells
-    return [b'"' + cell.replace(b'"', b'""') + b'"'
-            if any(char in cell for char in quote_chars) else cell for cell in cells]
+def _csv_quoted(cell: bytes) -> bytes:
+    """`cell` quoted by csv's minimal rule: wrapped in `"`, its inner `"`
+    doubled, when it holds `,`, `"`, CR or LF; `cell` itself when not.  The
+    rule reads UTF-8 bytes as it reads text, since no byte of a multi-byte
+    character is ASCII."""
+    if any(char in cell for char in b',"\r\n'):
+        return b'"' + cell.replace(b'"', b'""') + b'"'
+    return cell
 
 
 def _g17(values: np.ndarray) -> List[bytes]:
@@ -265,15 +265,17 @@ class _DateColumn:
         return self.offsets.size - 1
 
     def cells(self, start: int, stop: int) -> List[bytes]:
-        """The dates of rows start to stop (clipped to the column) as UTF-8 bytes."""
+        """The dates of rows start to stop (clipped to the column) as UTF-8
+        bytes, each quoted by `_csv_quoted` as csv's writer would quote it."""
         offsets = self.offsets[start:stop + 1].tolist()
-        dates = memoryview(self.buffer)[offsets[0]:offsets[-1]]
-        cells = bytes(dates).split(b"\n")
+        dates = bytes(memoryview(self.buffer)[offsets[0]:offsets[-1]])
+        cells = dates.split(b"\n")
         cells.pop()  # after the last date's LF
-        if len(cells) == len(offsets) - 1:
+        # one date per cell, and none to quote: an LF in a date, as only a
+        # quoted one read by `_read_rows` can hold, adds a cell
+        if len(cells) == len(offsets) - 1 and not any(char in dates for char in b',"\r'):
             return cells
-        # a date holds an LF, as only a quoted one read by `_read_rows` can
-        return [bytes(self.buffer[a:b - 1]) for a, b in zip(offsets, offsets[1:])]
+        return [_csv_quoted(bytes(self.buffer[a:b - 1])) for a, b in zip(offsets, offsets[1:])]
 
 
 _Series = Tuple[Optional[_DateColumn], np.ndarray]
@@ -282,75 +284,72 @@ _Series = Tuple[Optional[_DateColumn], np.ndarray]
 def read_series(path: str) -> _Series:
     """Read a one-observation-per-line CSV: `value` or `date,value` rows.
 
-    Unquoted rows with one column count, all values finite, are parsed in
-    bulk a block at a time (`_read_blocks`); any other input goes through
-    `_read_rows`, which gives the same result or names the offending line.
-    Either returns the dates as a `_DateColumn`, or None for `value` rows.
+    Both readers take the file a block at a time from `_blocks`.  Unquoted
+    rows with one column count, all values finite, are parsed in bulk
+    (`_read_blocks`); any other input goes through `_read_rows`, which gives
+    the same result or names the first offending line.  Either returns the
+    dates as a `_DateColumn`, or None for `value` rows.
     """
     if not os.path.exists(path):
         raise CliError(f"input file not found: {path}")
     try:
-        parsed = _read_blocks(path)
-        if parsed is not None:
-            return parsed
-        with open(path, "rb") as fh:
-            data = fh.read()
+        return _read_blocks(path) or _read_rows(path)
     except OSError as exc:  # a directory, or no permission to read
         raise CliError(f"cannot read input file {path}: {exc.strerror or exc}") from exc
-    # a byte-order mark, as spreadsheet exports write, is not part of line 1;
-    # utf-8-sig would drop it as well, but counts decode offsets after it
-    return _read_rows(path, _decoded(path, data, 0).removeprefix("\ufeff"))
 
 
-def _decoded(path: str, data: bytes, offset: int) -> str:
-    """`data`, the bytes at `offset` in the file, decoded as UTF-8."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not valid UTF-8 at byte offset {offset + exc.start}") from exc
+def _blocks(path: str) -> Iterator[bytes]:
+    """The file in blocks of `_READ_BLOCK_BYTES`, each extended to the end
+    of its last line and checked to be UTF-8; the only reader of the file.
 
-
-def _read_blocks(path: str) -> Optional[_Series]:
-    """Bulk parse of plain `value` or `date,value` rows; None for anything else.
-
-    Plain means: no quote, NUL, bare CR or underscore; no blank or
-    whitespace-only row; a header, if any, only on line 1; the same column
-    count on every row; every value finite.  The file is read in blocks of
-    `_READ_BLOCK_BYTES`, each extended to the end of its last line, and each
-    block is checked and parsed on its own, as bytes: one split at its
-    commas and line endings gives the cells of both columns, the values
-    parsed by `float` as `_read_rows` parses them.  A block that is not
-    plain ends the read.
+    A byte-order mark, as spreadsheet exports write, is dropped from the
+    first block, so it is not part of line 1; a decode error counts its
+    offset from the start of the file, the mark included.
     """
-    # the columns grow in place, so no list of blocks is joined at the end
-    values, buffer, offsets = array("d"), bytearray(), array("q", [0])
-    n_commas = None
     offset = 0  # of the block in the file
     with open(path, "rb") as fh:
         while block := fh.read(_READ_BLOCK_BYTES):
             if not block.endswith(b"\n"):
                 block += fh.readline()  # to the end of the line or the file
-            _decoded(path, block, offset)  # raises on bytes that are not UTF-8
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CliError(f"{path}: not valid UTF-8 at byte offset "
+                               f"{offset + exc.start}") from exc
+            yield block.removeprefix(codecs.BOM_UTF8) if offset == 0 else block
+            offset = fh.tell()
+
+
+def _read_blocks(path: str) -> Optional[_Series]:
+    """Bulk parse of plain `value` or `date,value` rows; None for anything else.
+
+    Plain means: no quote, NUL or bare CR; no blank or whitespace-only row;
+    a header, if any, only on line 1; the same column count on every row;
+    every value finite.  Each block of `_blocks` is checked and parsed on
+    its own, as bytes: one split at its commas and line endings gives the
+    cells of both columns, the values parsed by `float` as `_read_rows`
+    parses them.  A block that is not plain ends the read.
+    """
+    # the columns grow in place, so no list of blocks is joined at the end
+    values, buffer, offsets = array("d"), bytearray(), array("q", [0])
+    n_commas = None
+    with closing(_blocks(path)) as blocks:
+        for index, block in enumerate(blocks):
             # quotes are csv's to undo, a NUL is an error to csv before
-            # Python 3.11, a bare CR splits a line, and `float` reads an
-            # underscore as a digit separator (1_000), which no plain
-            # number holds
-            if b'"' in block or b"\0" in block or b"_" in block or (
+            # Python 3.11, and a bare CR splits a line
+            if b'"' in block or b"\0" in block or (
                     b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
                 return None
             if not block.endswith(b"\n"):  # the file's last line
                 block += b"\n"
-            if offset == 0:
-                # a byte-order mark, as spreadsheet exports write, is not
-                # part of line 1; a line 1 whose last cell is not a number
-                # (as str, which `float` reads as `_read_rows` does) is a header
-                block = block.removeprefix(codecs.BOM_UTF8)
+            if index == 0:
+                # a line 1 whose last cell is not a number (as str, which
+                # `float` reads as `_read_rows` does) is a header
                 line_1 = block[:block.index(b"\n")]
                 try:
                     float(line_1.rpartition(b",")[2].decode("utf-8"))
                 except ValueError:
                     block = block[len(line_1) + 1:]
-            offset = fh.tell()
             if b"\r" in block:
                 block = block.replace(b"\r\n", b"\n")
             if not block:
@@ -384,38 +383,43 @@ def _read_blocks(path: str) -> Optional[_Series]:
     return _columns(buffer, offsets, values, n_commas == 1)
 
 
-def _read_rows(path: str, text: str) -> _Series:
-    """The reference parse, one CSV row at a time; the source of `path:line:` errors."""
+def _read_rows(path: str) -> _Series:
+    """The reference parse, one CSV row at a time; the source of `path:line:` errors.
+
+    csv reads the lines of `_blocks` in turn: no line spans two blocks.
+    """
     values, buffer, offsets = array("d"), bytearray(), array("q", [0])
     n_cols = None
-    reader = csv.reader(io.StringIO(text, newline=""))
     next_row_line = 1  # the physical line where the row after this one starts
     try:
-        for lineno, row in enumerate(reader, start=1):
-            next_row_line = reader.line_num + 1
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if lineno == 1:
+        with closing(_blocks(path)) as blocks:
+            reader = csv.reader(line for block in blocks
+                                for line in io.StringIO(block.decode("utf-8"), newline=""))
+            for lineno, row in enumerate(reader, start=1):
+                next_row_line = reader.line_num + 1
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if lineno == 1:
+                    try:
+                        float(row[-1])
+                    except ValueError:
+                        continue  # header row
+                if n_cols is None:
+                    n_cols = len(row)
+                    if n_cols not in (1, 2):
+                        raise CliError(f"{path}:{lineno}: expected 1 or 2 columns, got {n_cols}")
+                if len(row) != n_cols:
+                    raise CliError(f"{path}:{lineno}: inconsistent column count")
                 try:
-                    float(row[-1])
-                except ValueError:
-                    continue  # header row
-            if n_cols is None:
-                n_cols = len(row)
-                if n_cols not in (1, 2):
-                    raise CliError(f"{path}:{lineno}: expected 1 or 2 columns, got {n_cols}")
-            if len(row) != n_cols:
-                raise CliError(f"{path}:{lineno}: inconsistent column count")
-            try:
-                value = float(row[-1])
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: not a number: {row[-1]!r}") from exc
-            if not math.isfinite(value):
-                raise CliError(f"{path}:{lineno}: not a finite number: {row[-1]!r}")
-            values.append(value)
-            if n_cols == 2:
-                buffer += row[0].encode("utf-8") + b"\n"
-                offsets.append(len(buffer))
+                    value = float(row[-1])
+                except ValueError as exc:
+                    raise CliError(f"{path}:{lineno}: not a number: {row[-1]!r}") from exc
+                if not math.isfinite(value):
+                    raise CliError(f"{path}:{lineno}: not a finite number: {row[-1]!r}")
+                values.append(value)
+                if n_cols == 2:
+                    buffer += row[0].encode("utf-8") + b"\n"
+                    offsets.append(len(buffer))
     except csv.Error as exc:
         # a quote left open makes one field of the rest of the file, which
         # csv stops at its field size limit

@@ -24,6 +24,7 @@ from supou import (
     sample_jump_stream,
     simulate_path,
 )
+from supou import cli
 from supou.cli import (
     CSV_CHUNK_ROWS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError, _g17, _g17_fixed, _read_blocks,
     _read_rows, _run_estimate, _write_csv, build_parser, main, read_series,
@@ -470,9 +471,9 @@ class TestHugeValues:
         assert not out.exists()
 
 
-PLAIN_VALUES = ["0.25", "-3", "+4", "1e5", " 1.0 ", "7.000000000000001e-05"]
-ODD_VALUES = ["nan", "inf", "-Infinity", "1_000", "x", "", " "]
-PLAIN_DATES = ["2020-01-02", "d", " t ", "", "1.5"]
+PLAIN_VALUES = ["0.25", "-3", "+4", "1e5", " 1.0 ", "7.000000000000001e-05", "1_000", "2_5.0"]
+ODD_VALUES = ["nan", "inf", "-Infinity", "x", "", " "]
+PLAIN_DATES = ["2020-01-02", "d", " t ", "", "1.5", "2020_01_04"]
 ODD_DATES = ['"2020-01-03, Fri"', '"say ""hi"""', '"a\nb"', " "]
 
 
@@ -532,11 +533,11 @@ class TestReadSeries:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = read_outcome(lambda: read_series(str(path)))
-        assert got == read_outcome(lambda: _read_rows(str(path), text))
+        assert got == read_outcome(lambda: _read_rows(str(path)))
 
     @pytest.mark.parametrize("text", [
         "1.5\n2.5\n", "value\r\n1.5\r\n2.5\r\n", "date,value\n2020-01-01,1.5\n2020-01-02,-2",
-        "a,1\nb, 2 \n", "7\n",
+        "a,1\nb, 2 \n", "7\n", "1_000\n",
     ])
     def test_plain_shapes_take_the_bulk_path(self, tmp_path, text):
         path = tmp_path / "series.csv"
@@ -545,7 +546,7 @@ class TestReadSeries:
 
     @pytest.mark.parametrize("text", [
         '"2020-01-01",1.5\n', "1.5\r2.5\r", "1.5\n\n2.5\n", "1.5\n  \n2.5\n", "a,1\n2\n",
-        "1,2,3\n", "1.5\nnan\n", "1_000\n", "1.5\nvalue\n", "", "value\n",
+        "1,2,3\n", "1.5\nnan\n", "1.5\nvalue\n", "", "value\n",
     ])
     def test_other_shapes_go_to_the_line_loop(self, tmp_path, text):
         path = tmp_path / "series.csv"
@@ -614,9 +615,8 @@ class TestBlockReader:
         path = tmp_path / "series.csv"
         path.write_bytes(data)
         assert _read_blocks(str(path)) is not None
-        text = data.decode("utf-8").removeprefix("\ufeff")
         assert read_outcome(lambda: read_series(str(path))) == read_outcome(
-            lambda: _read_rows(str(path), text))
+            lambda: _read_rows(str(path)))
         out = tmp_path / "fit"
         assert run(["fit", mode, "--input", path, "--out-dir", out]) in (0, 3)
         if mode == "--prices":
@@ -634,7 +634,7 @@ class TestBlockReader:
         path.write_bytes(text.encode())
         assert _read_blocks(str(path)) is None
         assert read_outcome(lambda: read_series(str(path))) == read_outcome(
-            lambda: _read_rows(str(path), text))
+            lambda: _read_rows(str(path)))
 
     @pytest.mark.parametrize("dated, later, message", [
         (False, "nan\n", "not a finite number: 'nan'"),
@@ -681,6 +681,61 @@ class TestBlockReader:
         # one str per line or per date would take about 60 bytes a row
         assert peak < 2 * path.stat().st_size
         assert kept < 40 * n
+
+    def test_memory_follows_the_series_on_the_row_loop(self, tmp_path):
+        # the same daily prices under a quoted header, which only csv reads
+        n = 100_000
+        prices = 100.0 * np.exp(np.cumsum(0.01 * np.random.default_rng(5).standard_normal(n)))
+        dates = (np.datetime64("1726-01-01", "D") + np.arange(n)).astype(str)
+        rows = "".join(f"{d},{p!r}\n" for d, p in zip(dates.tolist(), prices.tolist()))
+        quoted, plain = tmp_path / "quoted.csv", tmp_path / "plain.csv"
+        quoted.write_text('"date","value"\n' + rows)
+        plain.write_text("date,value\n" + rows)
+        assert _read_blocks(str(quoted)) is None
+        tracemalloc.start()
+        try:
+            got = read_outcome(lambda: read_series(str(quoted)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a str of the whole file alone would take its size, and each
+        # line's str and row list about 150 bytes a row more
+        assert peak < 2 * quoted.stat().st_size
+        assert got == read_outcome(lambda: read_series(str(plain)))
+
+    def test_the_first_fault_in_the_file_is_reported(self, tmp_path, capsys):
+        # a nan on line 3 and a Latin-1 byte more than two blocks later
+        data = tmp_path / "series.csv"
+        data.write_bytes(b"1.0\n2.0\nnan\n" + fixed_rows(2 * ROWS_PER_BLOCK, False).encode()
+                         + b"caf\xe9\n")
+        out = tmp_path / "o"
+        assert run(["estimate", "--input", data, "--out-dir", out]) == 2
+        assert f"{data}:3: not a finite number: 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader, later", [(_read_blocks, '"1.5"\n'), (_read_rows, "nan\n")],
+                             ids=["bulk", "row-loop"])
+    def test_a_reader_that_stops_early_closes_the_file(self, tmp_path, monkeypatch, reader,
+                                                       later):
+        path = tmp_path / "series.csv"
+        rows = fixed_rows(ROWS_PER_BLOCK, False)
+        path.write_text(rows + later + rows)
+        blocks = cli._blocks
+        generators = []
+
+        def recorded(path):
+            generators.append(blocks(path))
+            return generators[-1]
+
+        monkeypatch.setattr(cli, "_blocks", recorded)
+        try:
+            reader(str(path))
+        except CliError:
+            pass
+        # the generator stopped in the file's second block, and was closed
+        # then, not when it was collected
+        assert len(generators) == 1
+        assert generators[0].gi_frame is None
 
 
 def sv_returns(n, seed=3):
