@@ -15,8 +15,8 @@ An input series is read a block of bytes at a time, by `_blocks` alone,
 and parsed in bulk or by csv's row loop into one float64 array and, for
 `date,value` rows, one `_DateColumn`: the dates as one UTF-8 buffer and
 offsets, split into bytes only a chunk of rows at a time when
-`series_used.csv` is written.  No copy of the whole file is held, unless
-it has no LF to end a block at.
+`series_used.csv` is written.  No copy of the whole file is held: a block
+ends at a line ending, LF or, in a file with bare-CR line endings, CR.
 """
 
 from __future__ import annotations
@@ -299,17 +299,26 @@ def read_series(path: str) -> _Series:
 
 
 def _blocks(path: str) -> Iterator[bytes]:
-    """The file in blocks of `_READ_BLOCK_BYTES`, each extended to the end
-    of its last line and checked to be UTF-8; the only reader of the file.
+    """The file in blocks of about `_READ_BLOCK_BYTES`, each ending at the
+    end of a line and checked to be UTF-8; the only reader of the file.
+
+    A block ends after its last LF, read on to the next LF if need be.  A
+    block with no LF, as in a file with bare-CR line endings, ends after its
+    last CR short of its last byte, and the bytes after that CR open the
+    next block; with no such CR it is read on like the others.
 
     A byte-order mark, as spreadsheet exports write, is dropped from the
     first block, so it is not part of line 1; a decode error counts its
     offset from the start of the file, the mark included.
     """
-    offset = 0  # of the block in the file
+    offset, rest = 0, b""  # rest: bytes read past the end of the last block
     with open(path, "rb") as fh:
-        while block := fh.read(_READ_BLOCK_BYTES):
-            if not block.endswith(b"\n"):
+        while block := rest + fh.read(_READ_BLOCK_BYTES):
+            # a block with no LF ends after its last CR short of its last
+            # byte, which may be half of a CRLF
+            end = 0 if b"\n" in block else block.rfind(b"\r", 0, len(block) - 1) + 1
+            block, rest = (block[:end], block[end:]) if end else (block, b"")
+            if not (end or block.endswith(b"\n")):
                 block += fh.readline()  # to the end of the line or the file
             try:
                 block.decode("utf-8")
@@ -317,7 +326,7 @@ def _blocks(path: str) -> Iterator[bytes]:
                 raise CliError(f"{path}: not valid UTF-8 at byte offset "
                                f"{offset + exc.start}") from exc
             yield block.removeprefix(codecs.BOM_UTF8) if offset == 0 else block
-            offset = fh.tell()
+            offset += len(block)
 
 
 def _read_blocks(path: str) -> Optional[_Series]:
@@ -546,7 +555,9 @@ def _study_one_path(kind: ModelKind, beta_true: ParamVector, spec: LevySpec,
     sample = simulate_path(kind, spec, PiSpec.from_params(beta_true), schedule,
                            SimulationConfig(seed=seed))
 
-    # start in a log-scale neighbourhood of the truth, as in a recovery study
+    # start in a log-scale neighbourhood of the truth, as in a recovery study;
+    # two_step_gmm uses only the start's shape, but the mu and sigma2 jitter
+    # draws are kept, so each path's start shape is the one its seed drew
     theta0 = transform(beta_true) + _rng(seed, 2).uniform(-START_JITTER, START_JITTER, size=4)
     data = demean(sample.values) if kind is ModelKind.SV else sample.values
     result = two_step_gmm(data, kind, conditions=conditions, start=untransform(theta0))

@@ -6,13 +6,17 @@ in the lag set; its expectation under the stationary law vanishes exactly at
 the true parameter.  Estimation minimizes the quadratic form g' W g of the
 sample moments, first with the identity weighting, then with the inverse of
 the estimated moment covariance from step one.  With W = L L' the criterion
-is the sum of squares of L' g, so each step is one bounded nonlinear
-least-squares fit (scipy's trust-region reflective method) in log
-coordinates, inside a fixed log-scale box around the step-1 start.
-`_moment_model` evaluates the moment targets and their Jacobian in theta
-together, in closed form from the unit moments and slopes of `moments`.  trf
-asks for the Jacobian at the theta of its last residuals, so each fit
-evaluates the model once per theta.
+is the sum of squares of L' g.
+
+At a fixed acf shape (alpha_pi, B) every target is linear in m, m^2 and
+sigma2, where m = E z: t = m e_0 + m^2 c + sigma2 w(alpha_pi, B).  So each
+step searches the shape alone, theta = (log(alpha_pi - 1), log(-B)), by one
+bounded nonlinear least-squares fit (scipy's trust-region reflective method)
+inside a fixed box around the start shape, and `_profile` gives the best
+m > 0 and sigma2 > 0 at each shape in closed form (variable projection).
+`_model_columns` evaluates e_0, c, w and the shape slopes of w, in closed
+form from the unit moments and slopes of `moments`; each fit evaluates it
+once per shape.
 
 An estimate passes over the data once.  `_window_moments` forms the N-m
 window products one block of _WINDOW_BLOCK windows at a time in one reused
@@ -26,6 +30,7 @@ step-1 targets t is C + (b-t)(b-t)'.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -42,7 +47,8 @@ from .errors import (
     SingularWeightingError,
     WeightingMatrixError,
 )
-# supou_var, supou_acov, intsupou_var, _int_acov_units: unused, kept for the benchmark's tracer
+# supou_var, supou_acov, intsupou_var, _int_var_unit, _int_acov_units: unused, kept for
+# the benchmark's tracer
 from .moments import (
     _int_acov_units,
     _int_unit_slopes,
@@ -120,8 +126,9 @@ def default_conditions(kind: ModelKind, delta: float = 1.0) -> MomentConditionSe
     return MomentConditionSet(kind=kind, lags=lags, delta=delta)
 
 
-# half-width (log scale, around the step-1 start) of the compact parameter
-# space that both steps search, which the consistency theory assumes anyway
+# half-width (log scale, around the start shape) of the compact space of
+# acf shapes (log(alpha_pi - 1), log(-B)) that both steps search, which the
+# consistency theory assumes anyway
 PARAMETER_BOX = 6.0
 
 # a fit that ends within this many log units of a face of the box stopped on
@@ -143,7 +150,8 @@ class GmmResult:
     """Estimates and diagnostics of both GMM steps.
 
     step1_stop and step2_stop say why each fit stopped: "converged",
-    "max_evaluations" or "at_box_edge" (see `minimize`).
+    "max_evaluations" or "at_box_edge" (see `minimize`; a fit whose mu or
+    sigma2 ends on its face is "at_box_edge" too, see `two_step_gmm`).
     """
 
     conditions: MomentConditionSet
@@ -210,43 +218,38 @@ def _estimation_series(data, kind: ModelKind) -> np.ndarray:
     return x * x if kind is ModelKind.SV else x
 
 
-def _moment_model(beta: ParamVector,
-                  conditions: MomentConditionSet) -> Tuple[np.ndarray, np.ndarray]:
-    """Model values of (E z, E z^2, E z_1 z_{1+h} ...) for the estimation
-    series z, and their d x 4 Jacobian in theta = `transform(beta)`.
+def _model_columns(alpha: float, B: float,
+                   conditions: MomentConditionSet) -> Tuple[float, np.ndarray]:
+    """k = E z at mu = 1, and the d x 5 columns (e_0, c, w, dw/dlog(alpha_pi - 1),
+    dw/dlog(-B)) of the model values of (E z, E z^2, E z_1 z_{1+h} ...) for the
+    estimation series z.
 
-    The mean is proportional to mu / (-B (alpha_pi - 1)); every other target
-    is mean^2 plus sigma2 times a unit moment of (alpha_pi, B) alone (the SV
-    fourth moment is three times that), which `moments` gives with its
-    slopes.
+    The targets are m e_0 + m^2 c + sigma2 w with m = k mu: the mean, then
+    m^2 plus sigma2 times a unit moment of (alpha_pi, B) alone for each
+    second moment (the SV fourth moment is three times both), which
+    `moments` gives with its slopes.
     """
     kind, delta = conditions.kind, conditions.delta
     lags = np.asarray(conditions.lags, dtype=float)
-    # var and autocovariances of X, or of V for both other kinds
+    unit = ParamVector(1.0, 1.0, alpha, B)
+    # the mean, then var and autocovariances of X, or of V for both other kinds
     if kind is ModelKind.SUPOU:
-        mean = supou_mean(beta)
-        slopes = _supou_unit_slopes(beta.alpha_pi, beta.B, lags * delta)
+        k, slopes = supou_mean(unit), _supou_unit_slopes(alpha, B, lags * delta)
     else:
-        mean = intsupou_mean(beta, delta)
-        slopes = _int_unit_slopes(beta.alpha_pi, beta.B, delta, lags)
-    # columns: sigma2 times the units, and their slopes in log(alpha_pi - 1)
-    # and log(-B)
-    units = beta.sigma2 * np.stack(slopes, axis=1)
-    targets = np.concatenate(([mean], mean * mean + units[:, 0]))
-    jac = np.empty((conditions.d, 4))
-    jac[0] = mean * np.array([1.0, 0.0, -1.0, -1.0])
-    jac[1:] = 2.0 * mean * jac[0]
-    jac[1:, 1:] += units
+        k, slopes = intsupou_mean(unit, delta), _int_unit_slopes(alpha, B, delta, lags)
+    columns = np.zeros((conditions.d, 5))
+    columns[0, 0], columns[1:, 1], columns[1:, 2:] = 1.0, 1.0, np.transpose(slopes)
     if kind is ModelKind.SV:
         # squared SV returns have E(Y^4) = 3 E(V^2)
-        targets[1] *= 3.0
-        jac[1] *= 3.0
-    return targets, jac
+        columns[1] *= 3.0
+    return k, columns
 
 
 def _moment_targets(beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
-    """The model values of `_moment_model` alone."""
-    return _moment_model(beta, conditions)[0]
+    """The model values of (E z, E z^2, E z_1 z_{1+h} ...) at beta."""
+    k, columns = _model_columns(beta.alpha_pi, beta.B, conditions)
+    m = k * beta.mu
+    return columns[:, :3] @ np.array([m, m * m, beta.sigma2])
 
 
 class _WindowMoments(NamedTuple):
@@ -467,25 +470,13 @@ def closed_form_init(sample_mean_value: float, sample_var_value: float,
 
 
 def _rescale_for_kind(alpha_pi: float, B: float, mean: float, var: float,
-                      kind: ModelKind, delta: float) -> ParamVector:
-    # mu, sigma2 matching the kind's own mean/variance equations at (alpha, B)
-    if kind is ModelKind.SUPOU:
-        return ParamVector(
-            mu=-mean * B * (alpha_pi - 1.0),
-            sigma2=-2.0 * var * B * (alpha_pi - 1.0),
-            alpha_pi=alpha_pi,
-            B=B,
-        )
-    mu = -mean * B * (alpha_pi - 1.0) / delta
-    unit_var = _int_var_unit(alpha_pi, B, delta)
-    if kind is ModelKind.SV:
-        var_v = (var - 2.0 * mean * mean) / 3.0
-        if var_v <= 0.0:
-            var_v = var / 3.0
-        sigma2 = var_v / unit_var
-    else:
-        sigma2 = var / unit_var
-    return ParamVector(mu=mu, sigma2=sigma2, alpha_pi=alpha_pi, B=B)
+                      conditions: MomentConditionSet) -> ParamVector:
+    # mu, sigma2 matching the kind's own mean/variance equations at (alpha, B):
+    # E z = k mu, and var z = sigma2 w_1 + (c_1 - 1) (E z)^2, which for SV
+    # returns is 3 var(V) + 2 E(V)^2; that excess falls back to var z
+    k, columns = _model_columns(alpha_pi, B, conditions)
+    excess = var - (columns[1, 1] - 1.0) * mean * mean
+    return ParamVector(mean / k, (excess if excess > 0.0 else var) / columns[1, 2], alpha_pi, B)
 
 
 def _require_dispersion(mean: float, var: float) -> None:
@@ -494,27 +485,22 @@ def _require_dispersion(mean: float, var: float) -> None:
         raise InitializationError("degenerate series: nonpositive mean or no dispersion")
 
 
-def _moment_matched_start(z: np.ndarray, conditions: MomentConditionSet) -> ParamVector:
-    """Crude default start: fixed acf shape, mean/variance matched to the data.
+def _cold_shape(conditions: MomentConditionSet) -> Tuple[float, float]:
+    """The default start shape (alpha_pi, B) = (4, -0.1/delta).
 
-    z is the estimation series of `_estimation_series`.  Raises DomainError
-    naming delta when the moment formulas cannot be evaluated at the start,
-    B = -0.1 / delta.
+    Raises DomainError naming delta when the moment formulas cannot be
+    evaluated there.
     """
-    mean, var = sample_mean(z), sample_var(z)
-    _require_dispersion(mean, var)
-    delta = conditions.delta
-    message = (f"delta={delta} is out of range: the moment formulas cannot be "
-               f"evaluated at the start B = -0.1/delta")
+    alpha, B = 4.0, -0.1 / conditions.delta
     try:
         with np.errstate(over="raise", invalid="raise"):
-            start = _rescale_for_kind(4.0, -0.1 / delta, mean, var, conditions.kind, delta)
-            finite = np.all(np.isfinite(_moment_targets(start, conditions)))
+            k, columns = _model_columns(alpha, B, conditions)
+        if not (math.isfinite(k) and np.all(np.isfinite(columns))):
+            raise DomainError("non-finite moments")
     except (ArithmeticError, DomainError) as exc:
-        raise DomainError(message) from exc
-    if not finite:
-        raise DomainError(message)
-    return start
+        raise DomainError(f"delta={conditions.delta} is out of range: the moment formulas "
+                          f"cannot be evaluated at the start B = -0.1/delta") from exc
+    return alpha, B
 
 
 def initial_estimate(data, conditions: MomentConditionSet) -> ParamVector:
@@ -532,44 +518,105 @@ def initial_estimate(data, conditions: MomentConditionSet) -> ParamVector:
         raise InitializationError("need at least 3 observations to initialize")
     mean, var = sample_mean(z), sample_var(z)
     _require_dispersion(mean, var)
-    delta = conditions.delta
     try:
-        rho1, rho2 = sample_acf(z, 1), sample_acf(z, 2)
-        base = closed_form_init(mean, var, rho1, rho2, delta, 2.0 * delta)
-        return _rescale_for_kind(base.alpha_pi, base.B, mean, var,
-                                 conditions.kind, delta)
+        h = conditions.delta
+        base = closed_form_init(mean, var, sample_acf(z, 1), sample_acf(z, 2), h, 2.0 * h)
+        return _rescale_for_kind(base.alpha_pi, base.B, mean, var, conditions)
     except (InitializationError, ParameterError, DataError):
-        return _moment_matched_start(z, conditions)
+        return _rescale_for_kind(*_cold_shape(conditions), mean, var, conditions)
 
 
 # ---------------------------------------------------------------------------
 # two-step procedure
 # ---------------------------------------------------------------------------
 
-def _residuals(base: np.ndarray, W: np.ndarray,
-               conditions: MomentConditionSet) -> Tuple[Callable, Callable]:
-    # L' g with W = L L', so that the sum of squares is the criterion g' W g,
-    # and its Jacobian -L' dtargets/dtheta; trf asks for the Jacobian at the
-    # theta of its last residuals, so the model at that theta is kept
-    L = np.linalg.cholesky(W)
-    last = [None, None]  # the last theta and the model there
+def _stationary_means(gram: list) -> list:
+    """The m > 0 where |p - m q - m^2 s|^2 is stationary, from the Gram
+    matrix (nested lists) of columns whose first three are p, q and s.
 
-    def model(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if not np.array_equal(theta, last[0]):
-            last[:] = theta.copy(), _moment_model(untransform(theta), conditions)
-        return last[1]
+    Half its slope in m is the cubic 2 ss m^3 + 3 qs m^2 + (qq - 2 ps) m - pq.
+    Its real roots come from Cardano's formula (one root) or the
+    trigonometric one (three), each polished by a Newton step.
+    """
+    (_, pq, ps, *_), (_, qq, qs, *_), (_, _, ss, *_) = gram[:3]
+    # m^3 + 3 shift m^2 + c m + d = 0, and t^3 + P t + Q = 0 with t = m + shift
+    shift, c, d = 0.5 * qs / ss, (0.5 * qq - ps) / ss, -0.5 * pq / ss
+    P, Q = c - 3.0 * shift * shift, (2.0 * shift * shift - c) * shift + d
+    disc = 0.25 * Q * Q + P * P * P / 27.0
+    if disc >= 0.0:
+        u = math.cbrt(-0.5 * Q - math.copysign(math.sqrt(disc), Q))
+        roots = [u - P / (3.0 * u) if u else 0.0]
+    else:
+        r = 2.0 * math.sqrt(-P / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * Q / (P * r)))) / 3.0
+        roots = [r * math.cos(phi - 2.0 * math.pi * j / 3.0) for j in range(3)]
+    roots = [x - (((x + 3.0 * shift) * x + c) * x + d) / ((3.0 * x + 6.0 * shift) * x + c)
+             for x in (t - shift for t in roots)]
+    return [x for x in roots if x > 0.0]
 
-    def fn(theta: np.ndarray) -> np.ndarray:
-        try:
-            g = base - model(theta)[0]
-        except (ParameterError, DomainError, OverflowError, ZeroDivisionError):
-            return np.full(base.size, np.inf)
-        return L.T @ g
 
-    def jac(theta: np.ndarray) -> np.ndarray:
-        return -L.T @ model(theta)[1]
+def _mean_fit(gram: list, m: float) -> float:
+    """|p - m q - m^2 s|^2 from the Gram matrix of `_stationary_means`."""
+    (pp, pq, ps, *_), (_, qq, qs, *_), (_, _, ss, *_) = gram[:3]
+    return pp + m * (-2.0 * pq + m * (qq - 2.0 * ps + m * (2.0 * qs + m * ss)))
 
-    return fn, jac
+
+def _profile(base: np.ndarray, W: np.ndarray,
+             conditions: MomentConditionSet) -> Tuple[Callable, Callable, Callable]:
+    """The criterion g' W g as a function of the shape theta alone.
+
+    With W = L L', p = L'b, q = L'e_0, s = L'c and v = L'w (`_model_columns`),
+    the best m > 0 and sigma2 > 0 at a shape are closed-form (variable
+    projection, Golub & Pereyra 1973).  At a given m the best sigma2 is
+    v'(p - m q - m^2 s) / v'v, or the face sigma2 = 0 where that is not
+    positive; the best m is a stationary point of the criterion with v
+    projected out, or of the criterion without v, or the face m = 0
+    (`_stationary_means`), whichever fits best.  Each face stands at the
+    least positive normal float.  The residuals are L' g there, and the
+    Jacobian is Kaufman's (1975): minus sigma2 times the shape slopes of v
+    with v and the slope in m of the residuals projected out, so J'r is the
+    exact gradient.  On the face sigma2 = 0 the targets do not depend on the
+    shape, and the Jacobian is nil.
+
+    Returns (evaluate, residuals, jac): evaluate(theta) gives the
+    ParamVector of the profiled mu = m / k and sigma2, the residuals, the
+    Jacobian and whether the fit is on a face, and keeps them, so each
+    shape is evaluated once.  A shape where the moment formulas fail has
+    infinite residuals.
+    """
+    Lt = np.linalg.cholesky(W).T
+    least = sys.float_info.min
+    evaluated: Dict[bytes, tuple] = {}  # (estimate or None, residuals, Jacobian, on a face)
+
+    def evaluate(theta: np.ndarray) -> Tuple[Optional[ParamVector], np.ndarray,
+                                             np.ndarray, bool]:
+        key = theta.tobytes()
+        if key not in evaluated:
+            try:
+                alpha, B = 1.0 + math.exp(theta[0]), -math.exp(theta[1])
+                k, columns = _model_columns(alpha, B, conditions)
+                # p, q, s, v and the two slopes of v; in Xv, v is projected out
+                X = Lt @ np.concatenate((base[:, None], columns), axis=1)
+                G = X.T @ X
+                Xv = X - X[:, 3:4] * (G[3] * (1.0 / G[3, 3]))
+                G, Gv = G.tolist(), (Xv.T @ Xv).tolist()
+                vp, vq, vs, vv = G[3][:4]
+                # each m fits with the best sigma2 >= 0 at it: v'(p - m q - m^2 s) / v'v
+                m = min(_stationary_means(Gv) + _stationary_means(G) + [least],
+                        key=lambda m: _mean_fit(Gv if vp - m * (vq + m * vs) > 0.0 else G, m))
+                sigma2 = max((vp - m * (vq + m * vs)) / vv, least)
+                # y = q + 2 m s, the slope of the residuals in m, and the slopes of
+                # v on it, with v projected out
+                yy = Gv[1][1] + 4.0 * m * (Gv[1][2] + m * Gv[2][2])
+                c = [(Gv[1][j] + 2.0 * m * Gv[2][j]) / yy if m > least else 0.0 for j in (4, 5)]
+                J = sigma2 * (np.outer(Xv[:, 1] + 2.0 * m * Xv[:, 2], c) - Xv[:, 4:])
+                evaluated[key] = (ParamVector(m / k, sigma2, alpha, B),
+                                  X[:, :4] @ (1.0, -m, -m * m, -sigma2), J, least in (m, sigma2))
+            except (ParameterError, DomainError, OverflowError, ZeroDivisionError):
+                evaluated[key] = (None, np.full(base.size, np.inf), None, False)
+        return evaluated[key]
+
+    return evaluate, lambda theta: evaluate(theta)[1], lambda theta: evaluate(theta)[2]
 
 
 def two_step_gmm(
@@ -580,12 +627,16 @@ def two_step_gmm(
 ) -> GmmResult:
     """Two-step iterated GMM: identity weighting, then inverse moment covariance.
 
-    Step 1 begins at `start` when one is given (e.g. a recovery study
-    seeding near the truth), else at a crude point that matches only the
-    sample mean and variance at a fixed acf shape.  Step 2 begins at the
-    step-1 estimate.  Both steps search the same log-scale box of half-width
-    PARAMETER_BOX around the step-1 start.  The procedure is deterministic;
-    a result is always returned, and why each step stopped is reported,
+    Both steps search the acf shape (alpha_pi, B) alone; mu and sigma2 are
+    the best ones at each shape (`_profile`).  Step 1 begins at the shape
+    of `start` when one is given (e.g. a recovery study seeding near the
+    truth; its mu and sigma2 are not used), else at alpha_pi = 4,
+    B = -0.1/delta.  Step 2 begins at the step-1 shape.  Both steps search
+    the same log-scale box of half-width PARAMETER_BOX around the start
+    shape.  A step whose best mu or sigma2 ends on its face (the least
+    positive float) stopped at "at_box_edge", as one whose shape ends on a
+    face of the box.  The procedure is deterministic; once step 1 has
+    started a result is returned, and why each step stopped is reported,
     never silently.
 
     For the SV kind the data are raw log returns; demeaning them first is
@@ -596,19 +647,22 @@ def two_step_gmm(
     elif conditions.kind is not kind:
         raise DomainError(f"conditions are for kind {conditions.kind}, not {kind}")
 
-    z = _estimation_series(data, kind)
-    summary = _window_moments(z, conditions)
+    summary = _window_moments(_estimation_series(data, kind), conditions)
     base = summary.mean
     if start is None:
-        start = _moment_matched_start(z, conditions)
-    center = transform(start)
+        _require_dispersion(base[0], summary.cov[0, 0])
+    alpha, B = _cold_shape(conditions) if start is None else (start.alpha_pi, start.B)
+    center = np.log([alpha - 1.0, -B])
 
-    theta1, stop1 = minimize(*_residuals(base, np.eye(conditions.d), conditions), center, center)
-    beta1 = untransform(theta1)
+    def fit(W: np.ndarray, theta0: np.ndarray) -> Tuple[np.ndarray, ParamVector, str]:
+        evaluate, residuals, jac = _profile(base, W, conditions)
+        theta, stop = minimize(residuals, jac, theta0, center)
+        beta, _, _, on_face = evaluate(theta)
+        return theta, beta, ("at_box_edge" if on_face else stop)
 
+    theta1, beta1, stop1 = fit(np.eye(conditions.d), center)
     weighting = estimate_weighting(summary, beta1, conditions)
-    theta2, stop2 = minimize(*_residuals(base, weighting, conditions), theta1, center)
-    beta2 = untransform(theta2)
+    _, beta2, stop2 = fit(weighting, theta1)
 
     # the values of `objective` (identity weighting in step 1), without
     # rebuilding the data products

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -26,8 +27,8 @@ from supou import (
 )
 from supou import cli
 from supou.cli import (
-    CSV_CHUNK_ROWS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError, _g17, _g17_fixed, _read_blocks,
-    _read_rows, _run_estimate, _write_csv, build_parser, main, read_series,
+    CSV_CHUNK_ROWS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError, _blocks, _g17, _g17_fixed,
+    _read_blocks, _read_rows, _run_estimate, _write_csv, build_parser, main, read_series,
 )
 from supou.descriptive import demean
 from supou.gmm import PARAMETER_BOX
@@ -214,6 +215,21 @@ class TestStudy:
         assert summary["model"] == "sv"
         assert summary["true_params"]["alpha_pi"] == 1.95
 
+    @pytest.mark.parametrize("n_obs,seed,step1_stop", [(300, 64, "at_box_edge"),
+                                                       (150, 76, "converged")])
+    def test_path_with_no_positive_scale_is_recorded(self, tmp_path, n_obs, seed, step1_stop):
+        # no mean > 0 and sigma2 > 0 fit the squared returns of these short SV
+        # paths at the shape where step 1 starts (seed 64) or, under the
+        # step-2 weighting, where step 2 starts (seed 76): that step ends on
+        # the face sigma2 = 0, a boundary fit, and the study writes its files
+        out = tmp_path / "sv_study"
+        assert run(["study", "--model", "sv", "--alpha-pi", 1.95, "--n-obs", n_obs,
+                    "--n-paths", 1, "--seed", seed, "--out-dir", out]) == 0
+        record = json.loads((out / "results.jsonl").read_text())
+        assert record["step1_stop"] == step1_stop and record["step2_stop"] == "at_box_edge"
+        assert record["step2_estimate"]["sigma2"] == sys.float_info.min
+        assert (out / "estimates.csv").exists() and (out / "summary.json").exists()
+
 
 class TestFit:
     def test_price_transform_and_degenerate_exit(self, tmp_path, capsys):
@@ -254,7 +270,7 @@ class TestFit:
         fit = json.loads((out / "fit.json").read_text())
         assert fit["step2_stop"] == "at_box_edge"
         assert not fit["converged_step2"]
-        # the crude start has B = -0.1, so the lower face is log(0.1) - PARAMETER_BOX
+        # the cold start has B = -0.1, so the lower face is log(0.1) - PARAMETER_BOX
         log_b = math.log(-fit["step2_estimate"]["B"])
         assert 0.0 <= log_b - (math.log(0.1) - PARAMETER_BOX) < 1e-3
 
@@ -702,6 +718,26 @@ class TestBlockReader:
         # line's str and row list about 150 bytes a row more
         assert peak < 2 * quoted.stat().st_size
         assert got == read_outcome(lambda: read_series(str(plain)))
+
+    def test_bare_cr_line_endings_are_read_a_block_at_a_time(self, tmp_path):
+        # the same daily prices with CR line endings: no LF ends a block
+        n = 100_000
+        prices = 100.0 * np.exp(np.cumsum(0.01 * np.random.default_rng(6).standard_normal(n)))
+        dates = (np.datetime64("1726-01-01", "D") + np.arange(n)).astype(str)
+        text = "date,value\n" + "".join(f"{d},{p!r}\n"
+                                         for d, p in zip(dates.tolist(), prices.tolist()))
+        bare_cr, plain = tmp_path / "cr.csv", tmp_path / "plain.csv"
+        bare_cr.write_bytes(text.replace("\n", "\r").encode())
+        plain.write_bytes(text.encode())
+        assert max(map(len, _blocks(str(bare_cr)))) < 2 * _READ_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            series = read_series(str(bare_cr))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * bare_cr.stat().st_size
+        assert read_outcome(lambda: series) == read_outcome(lambda: read_series(str(plain)))
 
     def test_the_first_fault_in_the_file_is_reported(self, tmp_path, capsys):
         # a nan on line 3 and a Latin-1 byte more than two blocks later

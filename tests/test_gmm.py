@@ -1,7 +1,8 @@
 """Moment functions, weighting, the minimizer, the initializer and the two-step procedure."""
 
+import sys
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from supou import (
     untransform,
 )
 from supou import gmm
-from supou.gmm import PARAMETER_BOX, _WINDOW_BLOCK, _moment_model, _moment_targets
+from supou.gmm import PARAMETER_BOX, _WINDOW_BLOCK, _model_columns, _moment_targets, _profile
 from supou.moments import (
     _int_unit_slopes,
     _supou_unit_slopes,
@@ -147,21 +148,24 @@ class TestMomentJacobian:
     @pytest.mark.parametrize("delta", [0.5, 1.0])
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_five_point_differences(self, kind, delta):
+        # the two shape columns: the slopes of sigma2 w in (log(alpha_pi - 1),
+        # log(-B)), which are those of the targets at fixed m and sigma2
         conds = default_conditions(kind, delta)
         step = 1e-3
         worst = 0.0
         for alpha in JACOBIAN_ALPHAS:
             for B in JACOBIAN_BS:
-                theta = transform(ParamVector(0.015, 0.003, alpha, float(B)))
-                target = _moment_targets(untransform(theta), conds)
-                jac = _moment_model(untransform(theta), conds)[1]
-                assert np.all(np.isfinite(jac)), (alpha, B)
-                for j in range(4):
+                beta = ParamVector(0.015, 0.003, alpha, float(B))
+                target = _moment_targets(beta, conds)
+                slopes = beta.sigma2 * _model_columns(alpha, float(B), conds)[1][:, 3:]
+                assert np.all(np.isfinite(slopes)), (alpha, B)
+                shape = np.log([alpha - 1.0, -B])
+                for j in range(2):
                     def at(k):
-                        return _moment_targets(untransform(theta + k * step * np.eye(4)[j]),
-                                               conds)
+                        a, b = np.exp(shape + k * step * np.eye(2)[j])
+                        return beta.sigma2 * _model_columns(1.0 + a, -b, conds)[1][:, 2]
                     fd = (at(-2) - 8.0 * at(-1) + 8.0 * at(1) - at(2)) / (12.0 * step)
-                    worst = max(worst, float(np.max(np.abs(jac[:, j] - fd) / np.abs(target))))
+                    worst = max(worst, float(np.max(np.abs(slopes[:, j] - fd) / np.abs(target))))
         assert worst <= 1e-6
 
     @pytest.mark.parametrize("delta", [0.5, 1.0])
@@ -196,6 +200,131 @@ class TestMomentJacobian:
                         fd = (at(-2) - 8.0 * at(-1) + 8.0 * at(1) - at(2)) / (12.0 * step)
                         worst = max(worst, float(np.max(np.abs(slope - fd) / u)))
             assert worst <= 1e-6, public.__name__
+
+
+def profile_fixture(kind):
+    """A simulated path of `kind` (demeaned for SV), its window means b and
+    the default conditions."""
+    x = simulate_path(kind, LevySpec(0.1, 3.0, 20.0), PiSpec.from_params(BETA),
+                      ObservationSchedule(1.0, 3000), SimulationConfig(seed=11)).values
+    x = demean(x) if kind is ModelKind.SV else x
+    conds = default_conditions(kind)
+    return x, gmm._window_moments(gmm._estimation_series(x, kind), conds).mean, conds
+
+
+def random_profiles(base, conds, rng, n=15):
+    """(W, theta, profiled estimate, residuals, Jacobian, residual function)
+    at random shapes and random SPD W scaled to the moments."""
+    for _ in range(n):
+        A = rng.standard_normal((conds.d, conds.d))
+        W = (A @ A.T + conds.d * np.eye(conds.d)) / np.outer(base, base)
+        theta = np.log([rng.uniform(0.5, 5.0), rng.uniform(0.03, 0.3)])
+        evaluate, fn, _ = _profile(base, W, conds)
+        beta, r, J, on_face = evaluate(theta)
+        assert beta is not None and not on_face, theta
+        yield W, theta, beta, r, J, fn
+
+
+class TestProfile:
+    """mu and sigma2 are profiled out in closed form at each shape."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_profiled_scale_is_the_minimum(self, kind):
+        # the criterion at the profiled estimate is `objective` there, and
+        # moving m (through mu) or sigma2 by 1e-6 relative never lowers it
+        x, base, conds = profile_fixture(kind)
+        for W, _, beta, r, _, _ in random_profiles(base, conds, np.random.default_rng(1)):
+            value = objective(x, beta, W, conds)
+            assert r @ r == pytest.approx(value, rel=1e-12)
+            for name in ("mu", "sigma2"):
+                for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+                    moved = replace(beta, **{name: factor * getattr(beta, name)})
+                    assert objective(x, moved, W, conds) >= value
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_gradient_matches_five_point_differences(self, kind):
+        # Kaufman's Jacobian gives the exact gradient J'r of the profiled
+        # criterion |r|^2 / 2
+        _, base, conds = profile_fixture(kind)
+        step = 1e-4
+        for _, theta, _, r, J, fn in random_profiles(base, conds, np.random.default_rng(2)):
+            def half_sum(t):
+                res = fn(t)
+                return 0.5 * res @ res
+
+            fd = [(half_sum(theta - 2 * e) - 8 * half_sum(theta - e) + 8 * half_sum(theta + e)
+                   - half_sum(theta + 2 * e)) / (12 * step) for e in step * np.eye(2)]
+            gradient = J.T @ r
+            assert np.max(np.abs(gradient - fd)) <= 1e-7 * np.max(np.abs(gradient))
+
+    @pytest.mark.parametrize("base", [
+        [1.0, 0.5, 0.5, 0.5, 0.5, 0.5],  # second moments below the squared mean
+        [-1.0, 2.0, 1.0, 1.0, 1.0, 1.0],  # a negative mean
+        [1.05, 1.09, 1.03, 1.0, 1.01, 1.04],
+    ])
+    def test_profile_is_the_least_criterion_over_positive_scales(self, base):
+        # at each shape and W the profiled criterion is no more than that
+        # of any m > 0 on a grid, each with its best sigma2 > 0, also where
+        # the best fit is on a face and the stationary points inside are not
+        base = np.array(base)
+        rng = np.random.default_rng(3)
+        for W in [np.eye(6)] + [A @ A.T + np.eye(6) for A in rng.standard_normal((4, 6, 6))]:
+            for theta in np.log([[3.0, 0.1], [0.95, 0.1], [0.5, 1.0], [5.0, 0.01]]):
+                evaluate, fn, _ = _profile(base, W, SUPOU_CONDS)
+                beta, r, _, on_face = evaluate(theta)
+                assert np.all(np.isfinite(r))
+                k, columns = _model_columns(beta.alpha_pi, beta.B, SUPOU_CONDS)
+                Lt = np.linalg.cholesky(W).T
+                v = Lt @ columns[:, 2]
+                for m in np.geomspace(1e-4, 1e2, 2001):
+                    p = Lt @ (base - columns[:, :2] @ (m, m * m))
+                    fit = p - max(v @ p / (v @ v), 0.0) * v
+                    assert r @ r <= fit @ fit * (1.0 + 1e-12)
+                # a face stands at the least normal float (mu = m / k may be subnormal)
+                assert on_face == (min(beta.mu * k, beta.sigma2) < 2.0 * sys.float_info.min)
+
+    def test_gradient_on_the_face_m_0(self):
+        # a negative mean puts the best m on its face, with sigma2 inside:
+        # there J'r is still the gradient of the profiled criterion
+        A = np.random.default_rng(5).standard_normal((6, 6))
+        evaluate, fn, _ = _profile(np.array([-1.0, 2.0, 1.0, 1.0, 1.0, 1.0]),
+                                   A @ A.T + np.eye(6), SUPOU_CONDS)
+        step = 1e-4
+        for theta in np.log([[3.0, 0.1], [0.95, 0.1], [0.5, 1.0], [5.0, 0.01]]):
+            beta, r, J, on_face = evaluate(theta)
+            assert on_face and beta.sigma2 > 0.1
+
+            def half_sum(t):
+                res = fn(t)
+                return 0.5 * res @ res
+
+            fd = [(half_sum(theta - 2 * e) - 8 * half_sum(theta - e) + 8 * half_sum(theta + e)
+                   - half_sum(theta + 2 * e)) / (12 * step) for e in step * np.eye(2)]
+            assert np.max(np.abs(J.T @ r - fd)) <= 1e-7 * np.max(np.abs(J.T @ r))
+
+    def test_no_positive_scale_is_a_flat_face(self):
+        # no sigma2 > 0 fits at any shape: the fit is on the face sigma2 = 0,
+        # where the targets and so the criterion do not depend on the shape
+        evaluate, fn, jac = _profile(np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5]), np.eye(6),
+                                     SUPOU_CONDS)
+        beta, r, J, on_face = evaluate(np.log([3.0, 0.1]))
+        assert on_face and beta.sigma2 == sys.float_info.min
+        assert np.all(np.abs(J) <= 1e-300)
+        assert fn(np.log([0.5, 1.0])) @ fn(np.log([0.5, 1.0])) == pytest.approx(r @ r)
+
+    def test_an_infeasible_step_2_start_is_a_boundary_fit(self):
+        # with W = I the best sigma2 at the start shape is > 0, with this W
+        # it is not, as can happen when step 2 starts at the step-1 shape:
+        # its residuals are finite, and the fit from there ends on the face
+        base = np.array([1.05, 1.09, 1.03, 1.0, 1.01, 1.04])
+        W2 = np.diag([4.5, 0.4, 0.05, 5.9, 1.2, 0.2])
+        theta = np.log([3.0, 0.1])
+        assert not _profile(base, np.eye(6), SUPOU_CONDS)[0](theta)[3]
+        evaluate, *fit = _profile(base, W2, SUPOU_CONDS)
+        assert evaluate(theta)[3]
+        theta2, _ = minimize(*fit, theta, theta)
+        beta, r, _, on_face = evaluate(theta2)
+        assert on_face and np.all(np.isfinite(r))
 
 
 class TestSampleMoments:
@@ -557,17 +686,18 @@ class TestTwoStepGmm:
         assert a.step2_objective == objective(x, a.step2_estimate, a.weighting, a.conditions)
 
     def test_weighting_scale_leaves_argmin(self):
-        # scaling W leaves the minimizer unchanged on a fixed fixture
+        # scaling W leaves the minimizing shape unchanged on a fixed fixture
         x = simulated_supou(seed=17, n_obs=3000)
         res = two_step_gmm(x, ModelKind.SUPOU)
         W = res.weighting
-        from supou.gmm import _estimation_series, _residuals
+        from supou.gmm import _estimation_series
 
         base = gmm._window_moments(_estimation_series(x, ModelKind.SUPOU), SUPOU_CONDS).mean
-        theta0 = transform(res.step1_estimate)
+        theta0 = np.log([res.step1_estimate.alpha_pi - 1.0, -res.step1_estimate.B])
         for lam in (1.0, 7.0):
-            theta, stop = minimize(*_residuals(base, lam * W, SUPOU_CONDS), theta0, theta0)
-            assert stop == "converged"
+            _, *fit = _profile(base, lam * W, SUPOU_CONDS)
+            theta, stop = minimize(*fit, theta0, theta0)
+            assert theta.shape == (2,) and stop == "converged"
             if lam == 1.0:
                 ref = theta
             else:
@@ -576,16 +706,16 @@ class TestTwoStepGmm:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_one_model_evaluation_per_theta(self, kind, monkeypatch):
         # trf asks for the Jacobian at the theta of its last residuals, and
-        # that call reuses their evaluation: within a fit no theta is
+        # that call reuses their evaluation: within a fit no shape is
         # evaluated twice
         x = simulate_path(kind, LevySpec(0.1, 3.0, 20.0), PiSpec.from_params(BETA),
                           ObservationSchedule(1.0, 3000), SimulationConfig(seed=11)).values
         calls, per_fit, jac_calls = [], [], []
-        model, fit = gmm._moment_model, gmm.minimize
+        model, fit = gmm._model_columns, gmm.minimize
 
-        def counted_model(beta, conditions):
-            calls.append(astuple(beta))
-            return model(beta, conditions)
+        def counted_model(alpha, B, conditions):
+            calls.append((alpha, B))
+            return model(alpha, B, conditions)
 
         def counted_fit(residuals, jac, theta0, center):
             first = len(calls)
@@ -600,12 +730,12 @@ class TestTwoStepGmm:
             per_fit.append(calls[first:])
             return result
 
-        monkeypatch.setattr(gmm, "_moment_model", counted_model)
+        monkeypatch.setattr(gmm, "_model_columns", counted_model)
         monkeypatch.setattr(gmm, "minimize", counted_fit)
         two_step_gmm(demean(x) if kind is ModelKind.SV else x, kind)
         assert len(per_fit) == 2 and len(jac_calls) >= 2 and not any(jac_calls)
-        for betas in per_fit:
-            assert betas and len(set(betas)) == len(betas)
+        for shapes in per_fit:
+            assert shapes and len(set(shapes)) == len(shapes)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_one_pass_over_the_data(self, kind, monkeypatch):
@@ -631,6 +761,17 @@ class TestTwoStepGmm:
     def test_constant_data_raises_initialization(self):
         with pytest.raises(InitializationError):
             two_step_gmm(np.full(100, 0.05), ModelKind.SUPOU)
+
+    def test_no_scale_at_the_start_is_a_boundary_fit(self):
+        # iid normal returns have E y^4 about 3 (E y^2)^2 and no
+        # autocorrelation: at the start shape the best sigma2 is on its
+        # face, which is reported as a boundary fit, not an error
+        y = 0.01 * np.random.default_rng(0).standard_normal(5000)
+        res = two_step_gmm(y, ModelKind.SV)
+        assert res.step1_stop == "at_box_edge" and not res.converged_step2
+        assert res.step1_estimate.sigma2 == sys.float_info.min
+        assert res.step1_objective == objective(y, res.step1_estimate, np.eye(10),
+                                                res.conditions)
 
     def test_dispersion_check_takes_huge_means(self):
         # squaring 1e-12 * mean overflowed a Python float above a mean of 1e166
@@ -664,16 +805,14 @@ class TestTwoStepGmm:
 
 
 # Cold-start fits (no start) of 20 paths of 10^4 observations, seeds 70000 + p,
-# SV returns demeaned as `estimate` and `fit` do.  The supOU and integrated
-# converged counts are what the earlier estimator (BFGS with perturbed
-# restarts) reached on these paths; the SV count is one below what the
-# default long-lag set reaches (19/20, against 14/20 with lags 1-5).  The
-# alpha_pi bands are criterion 6's.
+# SV returns demeaned as `estimate` and `fit` do.  The floors are the converged
+# counts that the shape search reaches on these paths: all 20 for supOU and
+# the integrated process, 18 for SV.  The alpha_pi bands are criterion 6's.
 COLD_START_CASES = [
     (ModelKind.SUPOU, 4.0, 20, 0.15),
     (ModelKind.SUPOU, 1.95, 20, 0.20),
     (ModelKind.INTEGRATED, 4.0, 20, 0.15),
-    (ModelKind.INTEGRATED, 1.95, 7, 0.20),
+    (ModelKind.INTEGRATED, 1.95, 20, 0.20),
     (ModelKind.SV, 1.95, 18, 0.20),
 ]
 
