@@ -7,10 +7,11 @@ written as it is drawn, the directory with the first), so a command that
 fails leaves none.
 All file outputs are UTF-8. Every CSV goes through `_write_csv`, which
 writes, as bytes, what the csv module's default writer would: CRLF line
-endings, minimal quoting (date cells through `_csv_quoted`); floats as
-`%.17g`, at full float64 precision, so reruns with the same seed are
-byte-identical.  A chunk of many floats gets its digits from `_g17`, one
-numpy pass instead of a float-to-text conversion per cell.
+endings, minimal quoting (date cells through `_csv_quoted`).  The column
+decides the cell: dates as read; floats as `%.17g`, at full float64
+precision, so reruns with the same seed are byte-identical; everything else
+as `%d`.  Every float goes through `_g17`, which formats many at once in
+one numpy pass instead of a float-to-text conversion per cell.
 An input series is read a block of bytes at a time, by `_blocks` alone,
 and parsed in bulk or by csv's row loop into one float64 array and, for
 `date,value` rows, one `_DateColumn`: the dates as one UTF-8 buffer and
@@ -75,8 +76,8 @@ START_JITTER = 0.5
 # rows per chunk of the CSV writer: `_write_csv` formats this many rows
 # with one %-operation
 CSV_CHUNK_ROWS = 4096
-# a chunk with fewer `%.17g` cells than this formats them by `%`, which is
-# faster than `_g17`'s fixed cost of about 40 numpy calls
+# `_g17` formats fewer values than this by `%`, which is faster than
+# `_g17_fixed`'s fixed cost of about 40 numpy calls
 _G17_MIN_CELLS = 160
 # bytes per block of the bulk CSV reader, which extends a block to the end
 # of its last line
@@ -115,24 +116,21 @@ def _lag_list(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad lag list {text!r}") from exc
 
 
-def _write_csv(path: str, header: Sequence[str], row_format: str,
-               columns: Sequence[Sequence]) -> None:
+def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """Write equal-length columns as csv's writer would, one %-format per chunk.
 
-    `row_format` formats one row and ends in CRLF; the column of a `%s` cell
-    is a `_DateColumn`, whose `cells` give the dates as the bytes they were
-    read as, quoted as csv quotes.  A chunk with at least `_G17_MIN_CELLS`
-    `%.17g` cells has them all formatted by one `_g17` call; a numpy column
-    is converted to Python numbers one chunk at a time, so no full-length
-    list of either is made.
+    The column decides its cells: a `_DateColumn` writes its dates as the
+    bytes they were read as, quoted as csv quotes; a column of floats
+    (Python floats or a numpy float dtype) writes `%.17g` of each, through
+    one `_g17` call on all float cells of a chunk; any other column (ints,
+    bools, a `range`) writes `%d`.  The floats of a numpy column become text
+    a chunk at a time, so no full-length list of them is made.
     """
-    fields = row_format.removesuffix("\r\n").split(",")
-    floats = [j for j, field in enumerate(fields) if field == "%.17g"]
-    # a `%s` cell comes as bytes, and so does a `%.17g` cell of a chunk
-    # formatted by `_g17`
-    byte_formats = [(",".join("%b" if field == "%s" or (by_g17 and field == "%.17g") else field
-                              for field in fields) + "\r\n").encode()
-                    for by_g17 in (False, True)]
+    floats = [j for j, c in enumerate(columns)
+              if not isinstance(c, _DateColumn) and np.asarray(c[:1]).dtype.kind == "f"]
+    # dates and floats come as bytes, from `cells` and `_g17`
+    row_format = b",".join(b"%b" if j in floats or isinstance(c, _DateColumn) else b"%d"
+                           for j, c in enumerate(columns)) + b"\r\n"
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode("utf-8"))
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
@@ -140,18 +138,16 @@ def _write_csv(path: str, header: Sequence[str], row_format: str,
             chunk = [c.cells(start, stop) if isinstance(c, _DateColumn) else c[start:stop]
                      for c in columns]
             n_rows = len(chunk[0])
-            by_g17 = len(floats) * n_rows >= _G17_MIN_CELLS
-            if by_g17:
+            if floats:
                 texts = _g17(np.array([chunk[j] for j in floats], dtype=float).ravel())
                 for i, j in enumerate(floats):
                     chunk[j] = texts[i * n_rows:(i + 1) * n_rows]
-            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
             # interleaved by slice assignment: a tuple per row (zip) left
             # the heap fragmented, and peak RSS grew by 5 MB over 90 fits
             cells = [None] * (len(chunk) * n_rows)
             for j, column in enumerate(chunk):
                 cells[j::len(chunk)] = column
-            fh.write(byte_formats[by_g17] * n_rows % tuple(cells))
+            fh.write(row_format * n_rows % tuple(cells))
 
 
 def _csv_quoted(cell: bytes) -> bytes:
@@ -165,8 +161,11 @@ def _csv_quoted(cell: bytes) -> bytes:
 
 
 def _g17(values: np.ndarray) -> List[bytes]:
-    """`b"%.17g" % v` for each v of `values`: by `_g17_fixed` where it
-    applies, by `%` for the rest."""
+    """`b"%.17g" % v` for each v of `values`: all by `%` when there are
+    fewer than `_G17_MIN_CELLS`, else by `_g17_fixed` where it applies and
+    by `%` for the rest."""
+    if values.size < _G17_MIN_CELLS:
+        return [b"%.17g" % v for v in values.tolist()]
     texts, fixed = _g17_fixed(values)
     if fixed.all():
         return texts.tolist()
@@ -483,8 +482,7 @@ def cmd_simulate(args) -> int:
         sample = simulate_path(kind, spec, pi, schedule, SimulationConfig(seed=args.seed + p))
         os.makedirs(args.out_dir, exist_ok=True)
         filename = os.path.join(args.out_dir, f"path_{p:04d}.csv")
-        _write_csv(filename, ["t", "value"], "%.17g,%.17g\r\n",
-                   [schedule.times(), sample.values])
+        _write_csv(filename, ["t", "value"], [schedule.times(), sample.values])
         paths.append(os.path.basename(filename))
         logger.info("wrote %s (%d observations)", filename, schedule.n_obs)
 
@@ -598,21 +596,18 @@ def cmd_study(args) -> int:
     header = [*int_keys, *(f"{step}_{name}" for step in steps for name in PARAM_NAMES),
               *objectives]
     columns = [[rec[key] for rec in records] for key in int_keys]
-    columns += [*estimates["step1"].T.tolist(), *estimates["step2"].T.tolist()]
+    columns += [*estimates["step1"].T, *estimates["step2"].T]
     columns += [[rec[key] for rec in records] for key in objectives]
-    _write_csv(os.path.join(args.out_dir, "estimates.csv"), header,
-               "%d,%d,%d,%d" + ",%.17g" * 10 + "\r\n", columns)
+    _write_csv(os.path.join(args.out_dir, "estimates.csv"), header, columns)
 
     converged = np.array([rec["converged_step2"] for rec in records])
     final = estimates["step2"][converged]
     if len(final) >= 2:
         for name, values in zip(PARAM_NAMES, final.T):
             _write_csv(os.path.join(args.out_dir, f"hist_{name}.csv"),
-                       ["left", "right", "count"], "%.17g,%.17g,%d\r\n",
-                       list(zip(*histogram(values, HIST_BINS))))
+                       ["left", "right", "count"], list(zip(*histogram(values, HIST_BINS))))
             _write_csv(os.path.join(args.out_dir, f"qq_{name}.csv"),
-                       ["theoretical", "sample"], "%.17g,%.17g\r\n",
-                       normal_qq_points(values).T.tolist())
+                       ["theoretical", "sample"], normal_qq_points(values).T)
 
     summary = {
         "command": "study",
@@ -686,18 +681,14 @@ def cmd_fit(args) -> int:
     acf_columns = {}
     for step, beta in (("step1", result.step1_estimate), ("step2", result.step2_estimate)):
         model_acov, model_var = _model_curves(kind, beta, args.delta, lags)
-        acf_columns[step] = [lags, emp_acov.tolist(), model_acov.tolist(),
-                             (emp_acov / emp_var).tolist(), (model_acov / model_var).tolist()]
+        acf_columns[step] = [lags, emp_acov, model_acov, emp_acov / emp_var, model_acov / model_var]
     os.makedirs(args.out_dir, exist_ok=True)
 
-    dates, row_format = ((range(1, fitted.size + 1), "%d,%.17g\r\n") if dates is None
-                         else (dates, "%s,%.17g\r\n"))
-    _write_csv(os.path.join(args.out_dir, "series_used.csv"), ["date", "value"], row_format,
-               [dates, fitted])
+    _write_csv(os.path.join(args.out_dir, "series_used.csv"), ["date", "value"],
+               [range(1, fitted.size + 1) if dates is None else dates, fitted])
     for step, columns in acf_columns.items():
         _write_csv(os.path.join(args.out_dir, f"acf_{step}.csv"),
-                   ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"],
-                   "%d" + ",%.17g" * 4 + "\r\n", columns)
+                   ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"], columns)
     return _finish_estimate(args, fitted, result, payload)
 
 

@@ -27,8 +27,9 @@ from supou import (
 )
 from supou import cli
 from supou.cli import (
-    CSV_CHUNK_ROWS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError, _blocks, _g17, _g17_fixed,
-    _read_blocks, _read_rows, _run_estimate, _write_csv, build_parser, main, read_series,
+    _G17_MIN_CELLS, CSV_CHUNK_ROWS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError, _blocks, _g17,
+    _g17_fixed, _read_blocks, _read_rows, _run_estimate, _write_csv, build_parser, main,
+    read_series,
 )
 from supou.descriptive import demean
 from supou.gmm import PARAMETER_BOX
@@ -806,10 +807,28 @@ class TestCsvBytes:
     def test_array_columns_match_lists(self, tmp_path):
         n = CSV_CHUNK_ROWS + 7
         columns = [np.arange(1, n + 1), sv_returns(n)]
-        header, row_format = ["lag", "value"], "%d,%.17g\r\n"
-        _write_csv(tmp_path / "arrays.csv", header, row_format, columns)
-        _write_csv(tmp_path / "lists.csv", header, row_format, [c.tolist() for c in columns])
+        header = ["lag", "value"]
+        _write_csv(tmp_path / "arrays.csv", header, columns)
+        _write_csv(tmp_path / "lists.csv", header, [c.tolist() for c in columns])
         assert read(tmp_path / "arrays.csv") == read(tmp_path / "lists.csv")
+
+    @pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS + 7])
+    def test_the_column_decides_the_cell(self, tmp_path, n):
+        # dates as read, floats as %.17g, everything else as %d (the ints
+        # pass 10^17, where %.17g would round them); one row has too few
+        # floats for `_g17`'s numpy digits, the other spans two chunks
+        dates = [f'day "{i}", Mon' if i % 3 else f"2020-{i:05d}" for i in range(n)]
+        offsets = np.cumsum([0] + [len(d.encode()) + 1 for d in dates])
+        rng = np.random.default_rng(n)
+        floats = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)).tolist()
+        columns = [cli._DateColumn(bytearray("".join(d + "\n" for d in dates).encode()), offsets),
+                   range(10**17, 10**17 + n), [i % 2 == 0 for i in range(n)],
+                   np.arange(n) - 5 * 10**18, floats, sv_returns(n)]
+        _write_csv(tmp_path / "table.csv", list("abcdef"), columns)
+        ints = [[f"{int(v):d}" for v in column] for column in columns[1:4]]
+        texts = [[f"{v:.17g}" for v in column] for column in columns[4:]]
+        assert read(tmp_path / "table.csv") == csv_writer_bytes(list("abcdef"),
+                                                                zip(dates, *ints, *texts))
 
     @pytest.mark.parametrize("model", ["supou", "integrated", "sv"])
     def test_path_file_matches_csv_writer(self, tmp_path, model):
@@ -879,14 +898,24 @@ class TestG17:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
     def test_any_float(self, values):
+        # repeated to `_G17_MIN_CELLS` values, so that they take the numpy path
+        values = np.resize(values, _G17_MIN_CELLS).tolist()
         assert _g17(np.array(values)) == [b"%.17g" % v for v in values]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(min_value=1e-4, max_value=1.0, exclude_max=True), min_size=1,
                     max_size=40), st.booleans())
     def test_fixed_range(self, values, negative):
-        values = [-v for v in values] if negative else values
+        values = np.resize([-v for v in values] if negative else values, _G17_MIN_CELLS).tolist()
         assert _g17(np.array(values)) == [b"%.17g" % v for v in values]
+
+    def test_few_values_take_percent(self, monkeypatch):
+        values = np.linspace(0.001, 0.9, _G17_MIN_CELLS)
+        calls = []
+        monkeypatch.setattr(cli, "_g17_fixed", lambda v: calls.append(v.size) or _g17_fixed(v))
+        for size in (1, _G17_MIN_CELLS - 1, _G17_MIN_CELLS):
+            assert _g17(values[:size]) == [b"%.17g" % v for v in values[:size].tolist()]
+        assert calls == [_G17_MIN_CELLS]
 
     def test_edges(self):
         values = np.concatenate([
