@@ -331,7 +331,7 @@ def _blocks(path: str) -> Iterator[bytes]:
 def _read_blocks(path: str) -> Optional[_Series]:
     """Bulk parse of plain `value` or `date,value` rows; None for anything else.
 
-    Plain means: no quote, NUL or bare CR; no blank or whitespace-only row;
+    Plain means: no quote or bare CR; no blank or whitespace-only row;
     a header, if any, only on line 1; the same column count on every row;
     every value finite.  Each block of `_blocks` is checked and parsed on
     its own, as bytes: one split at its commas and line endings gives the
@@ -343,10 +343,8 @@ def _read_blocks(path: str) -> Optional[_Series]:
     n_commas = None
     with closing(_blocks(path)) as blocks:
         for index, block in enumerate(blocks):
-            # quotes are csv's to undo, a NUL is an error to csv before
-            # Python 3.11, and a bare CR splits a line
-            if b'"' in block or b"\0" in block or (
-                    b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
+            # quotes are csv's to undo, and a bare CR splits a line
+            if b'"' in block or (b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
                 return None
             if not block.endswith(b"\n"):  # the file's last line
                 block += b"\n"
@@ -497,19 +495,18 @@ def cmd_simulate(args) -> int:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _run_estimate(args, series: np.ndarray) -> Tuple[np.ndarray, GmmResult, Dict]:
-    """Cold-start two-step GMM of `args.model` on a series.
+def _run_estimate(args, conditions: MomentConditionSet,
+                  series: np.ndarray) -> Tuple[np.ndarray, GmmResult, Dict]:
+    """Cold-start two-step GMM of `conditions.kind` on a series.
 
     SV returns are demeaned in place: the series is the caller's own, the
     reader's or `np.diff`'s, so no second copy of it is made.  Returns the
     data fitted (`series` itself), the result and its JSON payload.
     """
-    kind = ModelKind(args.model)
-    conditions = _conditions_from_args(args, kind)
-    if kind is ModelKind.SV:
+    if conditions.kind is ModelKind.SV:
         series -= series.mean()
     try:
-        result = two_step_gmm(series, kind, conditions=conditions)
+        result = two_step_gmm(series, conditions.kind, conditions=conditions)
     except DataError as exc:
         raise CliError(f"estimation failed: {exc}") from exc
     except (InitializationError, ParameterError) as exc:
@@ -527,17 +524,18 @@ def _finish_estimate(args, data: np.ndarray, result: GmmResult, payload: Dict) -
     return EXIT_OK if result.converged_step2 else EXIT_NONCONVERGED
 
 
-def _read_input(args) -> _Series:
-    """`read_series` of --input, once the flags that need no data are valid."""
+def _read_input(args) -> Tuple[MomentConditionSet, _Series]:
+    """The moment conditions of the flags and `read_series` of --input: the
+    flags that need no data are checked before the file is read."""
     factor = args.annualize_factor
     if factor is not None and not (math.isfinite(factor) and factor > 0.0):
         raise CliError(f"--annualize-factor must be finite and > 0, got {factor}")
-    return read_series(args.input)
+    return _conditions_from_args(args, ModelKind(args.model)), read_series(args.input)
 
 
 def cmd_estimate(args) -> int:
-    _, series = _read_input(args)
-    data, result, payload = _run_estimate(args, series)
+    conditions, (_, series) = _read_input(args)
+    data, result, payload = _run_estimate(args, conditions, series)
     os.makedirs(args.out_dir, exist_ok=True)
     return _finish_estimate(args, data, result, payload)
 
@@ -548,8 +546,9 @@ def cmd_estimate(args) -> int:
 
 def _study_one_path(kind: ModelKind, beta_true: ParamVector, spec: LevySpec,
                     schedule: ObservationSchedule, conditions: MomentConditionSet,
-                    index: int, seed: int) -> Dict:
-    """One simulate-then-estimate replication; module-level for pickling."""
+                    seed: int) -> GmmResult:
+    """One simulate-then-estimate replication: the `GmmResult` of the path
+    drawn from `seed`.  Module-level for pickling."""
     sample = simulate_path(kind, spec, PiSpec.from_params(beta_true), schedule,
                            SimulationConfig(seed=seed))
 
@@ -558,10 +557,7 @@ def _study_one_path(kind: ModelKind, beta_true: ParamVector, spec: LevySpec,
     # draws are kept, so each path's start shape is the one its seed drew
     theta0 = transform(beta_true) + _rng(seed, 2).uniform(-START_JITTER, START_JITTER, size=4)
     data = demean(sample.values) if kind is ModelKind.SV else sample.values
-    result = two_step_gmm(data, kind, conditions=conditions, start=untransform(theta0))
-    record = {"path": index, "seed": seed}
-    record.update(result.to_dict())
-    return record
+    return two_step_gmm(data, kind, conditions=conditions, start=untransform(theta0))
 
 
 def cmd_study(args) -> int:
@@ -570,38 +566,36 @@ def cmd_study(args) -> int:
     conditions = _conditions_from_args(args, kind)
     one_path = partial(_study_one_path, kind, beta, spec,
                        ObservationSchedule(args.delta, args.n_obs), conditions)
-    indices = range(args.n_paths)
+    paths = range(args.n_paths)
     seeds = range(args.seed, args.seed + args.n_paths)
-    # both maps return the records in path order
+    # both maps return the results in path order
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(one_path, indices, seeds, chunksize=1))
+            results = list(pool.map(one_path, seeds, chunksize=1))
     else:
-        records = list(map(one_path, indices, seeds))
+        results = list(map(one_path, seeds))
     os.makedirs(args.out_dir, exist_ok=True)
 
-    results = os.path.join(args.out_dir, "results.jsonl")
-    with open(results, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(json.dumps(record) + "\n" for record in records)
+    with open(os.path.join(args.out_dir, "results.jsonl"), "w", encoding="utf-8",
+              newline="") as fh:
+        fh.writelines(json.dumps({"path": path, "seed": seed, **result.to_dict()}) + "\n"
+                      for path, seed, result in zip(paths, seeds, results))
 
-    # one (paths x 4) array of estimates per step, columns in PARAM_NAMES order
-    steps = ("step1", "step2")
-    estimates = {
-        step: np.array([[rec[f"{step}_estimate"][name] for name in PARAM_NAMES]
-                        for rec in records])
-        for step in steps
-    }
-    int_keys = ("path", "seed", "converged_step1", "converged_step2")
-    objectives = ("step1_objective", "step2_objective")
-    header = [*int_keys, *(f"{step}_{name}" for step in steps for name in PARAM_NAMES),
-              *objectives]
-    columns = [[rec[key] for rec in records] for key in int_keys]
-    columns += [*estimates["step1"].T, *estimates["step2"].T]
-    columns += [[rec[key] for rec in records] for key in objectives]
-    _write_csv(os.path.join(args.out_dir, "estimates.csv"), header, columns)
+    # the estimates of both steps as one (paths x 2 x 4) array, the last
+    # axis in PARAM_NAMES order
+    estimates = np.array([[r.step1_estimate.as_array(), r.step2_estimate.as_array()]
+                          for r in results])
+    converged_step1 = [r.converged_step1 for r in results]
+    converged_step2 = np.array([r.converged_step2 for r in results])
+    header = ["path", "seed", "converged_step1", "converged_step2",
+              *(f"{step}_{name}" for step in ("step1", "step2") for name in PARAM_NAMES),
+              "step1_objective", "step2_objective"]
+    _write_csv(os.path.join(args.out_dir, "estimates.csv"), header,
+               [paths, seeds, converged_step1, converged_step2,
+                *estimates.reshape(len(results), 8).T,
+                [r.step1_objective for r in results], [r.step2_objective for r in results]])
 
-    converged = np.array([rec["converged_step2"] for rec in records])
-    final = estimates["step2"][converged]
+    final = estimates[converged_step2, 1]
     if len(final) >= 2:
         for name, values in zip(PARAM_NAMES, final.T):
             _write_csv(os.path.join(args.out_dir, f"hist_{name}.csv"),
@@ -615,9 +609,9 @@ def cmd_study(args) -> int:
         "n_paths": args.n_paths,
         "n_obs": args.n_obs,
         "true_params": asdict(beta),
-        "converged_step1": sum(rec["converged_step1"] for rec in records),
+        "converged_step1": sum(converged_step1),
         "converged_step2": len(final),
-        "non_converged_paths": [rec["path"] for rec, ok in zip(records, converged) if not ok],
+        "non_converged_paths": np.flatnonzero(~converged_step2).tolist(),
     }
     if len(final):
         medians = np.median(final, axis=0)
@@ -656,8 +650,8 @@ def _model_curves(kind: ModelKind, beta: ParamVector, delta: float,
 
 
 def cmd_fit(args) -> int:
-    kind = ModelKind(args.model)
-    dates, series = _read_input(args)
+    conditions, (dates, series) = _read_input(args)
+    kind = conditions.kind
     if args.prices:
         if np.any(series <= 0.0):
             raise CliError("price series must be strictly positive to take log returns")
@@ -670,7 +664,7 @@ def cmd_fit(args) -> int:
     if args.acf_lags >= series.size:
         raise CliError(f"--acf-lags {args.acf_lags} needs more than {args.acf_lags} "
                        f"observations, got {series.size}")
-    fitted, result, payload = _run_estimate(args, series)
+    fitted, result, payload = _run_estimate(args, conditions, series)
     payload["acf_decay_exponent_step2"] = 1.0 - result.step2_estimate.alpha_pi
 
     # empirical curves are for the estimation series (squared returns for SV)

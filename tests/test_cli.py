@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -27,12 +27,12 @@ from supou import (
 )
 from supou import cli
 from supou.cli import (
-    _G17_MIN_CELLS, CSV_CHUNK_ROWS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError, _blocks, _g17,
-    _g17_fixed, _read_blocks, _read_rows, _run_estimate, _write_csv, build_parser, main,
-    read_series,
+    _G17_MIN_CELLS, CSV_CHUNK_ROWS, HIST_BINS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError,
+    _blocks, _g17, _g17_fixed, _read_blocks, _read_rows, _run_estimate, _write_csv,
+    build_parser, main, read_series,
 )
-from supou.descriptive import demean
-from supou.gmm import PARAMETER_BOX
+from supou.descriptive import demean, histogram, normal_qq_points
+from supou.gmm import PARAMETER_BOX, default_conditions
 
 
 def run(argv):
@@ -41,6 +41,12 @@ def run(argv):
 
 def read(path):
     return path.read_bytes()
+
+
+def csv_rows(path):
+    """The rows of a CSV file after its header."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
 
 
 def csv_writer_bytes(header, rows):
@@ -192,12 +198,34 @@ class TestStudy:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_paths"] == 4
         assert summary["converged_step2"] <= 4
-        lines = (out / "results.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 4
-        assert [json.loads(l)["path"] for l in lines] == [0, 1, 2, 3]
-        if summary["converged_step2"] >= 2:
-            assert (out / "hist_mu.csv").exists()
-            assert (out / "qq_B.csv").exists()
+        records = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        assert [(r["path"], r["seed"]) for r in records] == [(i, 11 + i) for i in range(4)]
+
+        # each cell of estimates.csv is its record's value; a float's %.17g
+        # text parses back to it exactly
+        flags = ("path", "seed", "converged_step1", "converged_step2")
+        estimates = [f"{step}_{name}" for step in ("step1", "step2") for name in PARAM_NAMES]
+        objectives = ("step1_objective", "step2_objective")
+        with open(out / "estimates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == [*flags, *estimates, *objectives]
+        for row, record in zip(rows, records, strict=True):
+            assert [int(row[key]) for key in flags] == [record[key] for key in flags]
+            assert [float(row[key]) for key in estimates] == [
+                record[f"{step}_estimate"][name] for step in ("step1", "step2")
+                for name in PARAM_NAMES]
+            assert [float(row[key]) for key in objectives] == [record[key] for key in objectives]
+
+        # the tables are of the converged step-2 estimates of the records
+        final = np.array([[r["step2_estimate"][name] for name in PARAM_NAMES]
+                          for r in records if r["converged_step2"]])
+        assert summary["converged_step2"] == len(final) >= 2
+        for name, values in zip(PARAM_NAMES, final.T):
+            hist = [(float(left), float(right), int(count))
+                    for left, right, count in csv_rows(out / f"hist_{name}.csv")]
+            assert hist == histogram(values, HIST_BINS)
+            qq = np.array(csv_rows(out / f"qq_{name}.csv"), dtype=float)
+            assert_array_equal(qq, normal_qq_points(values))
 
     def test_worker_count_invariance(self, tmp_path):
         a, b = tmp_path / "w1", tmp_path / "w2"
@@ -445,6 +473,24 @@ class TestAnnualizeFactor:
         assert not out.exists()
 
 
+class TestConditionFlags:
+    @pytest.mark.parametrize("flags, message", [
+        (["--delta", 0], "delta must be > 0, got 0.0"),
+        (["--delta", "nan"], "delta must be > 0, got nan"),
+        (["--lags", "0,1"], "lags must be strictly increasing positive, got (0, 1)"),
+        (["--lags", 3], "need at least two lags for four parameters, got (3,)"),
+    ], ids=["delta-0", "delta-nan", "lag-0", "one-lag"])
+    @pytest.mark.parametrize("mode", [["estimate"], ["fit", "--returns"]])
+    def test_rejected_before_the_input_is_read(self, tmp_path, capsys, mode, flags, message):
+        # the input does not exist, so an error naming it was raised later
+        out = tmp_path / "o"
+        assert run([*mode, "--input", tmp_path / "missing.csv", *flags, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "missing.csv" not in err
+        assert not out.exists()
+
+
 class TestEstimateMatchesFit:
     """`estimate` and `fit --returns` share one estimation pipeline."""
 
@@ -469,7 +515,7 @@ class TestEstimateMatchesFit:
                           ObservationSchedule(1.0, 1500), SimulationConfig(seed=6)).values + 0.01
         expected = demean(y.copy())
         args = build_parser().parse_args(["estimate", "--model", "sv", "--input", "unused"])
-        fitted, _, _ = _run_estimate(args, y)
+        fitted, _, _ = _run_estimate(args, default_conditions(ModelKind.SV), y)
         assert fitted is y
         assert_array_equal(fitted, expected)
 
@@ -492,6 +538,11 @@ PLAIN_VALUES = ["0.25", "-3", "+4", "1e5", " 1.0 ", "7.000000000000001e-05", "1_
 ODD_VALUES = ["nan", "inf", "-Infinity", "x", "", " "]
 PLAIN_DATES = ["2020-01-02", "d", " t ", "", "1.5", "2020_01_04"]
 ODD_DATES = ['"2020-01-03, Fri"', '"say ""hi"""', '"a\nb"', " "]
+# a NUL, which csv reads from Python 3.11 on: in a date in a later block of
+# the bulk reader, and in a value
+NUL_IN_DATE = "".join(f"d{i:06d},{i % 7 / 8}\n" for i in range(10**5)).replace(
+    "d050000", "d05\x000000")
+NUL_IN_VALUE = "1.0\n2.0\n3\x00.0\n"
 
 
 @st.composite
@@ -544,6 +595,8 @@ class TestReadSeries:
 
     @settings(max_examples=400, deadline=None)
     @given(text=series_texts())
+    @example(text=NUL_IN_DATE)
+    @example(text=NUL_IN_VALUE)
     def test_bulk_reader_matches_line_loop(self, path, text):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -555,6 +608,7 @@ class TestReadSeries:
     @pytest.mark.parametrize("text", [
         "1.5\n2.5\n", "value\r\n1.5\r\n2.5\r\n", "date,value\n2020-01-01,1.5\n2020-01-02,-2",
         "a,1\nb, 2 \n", "7\n", "1_000\n",
+        pytest.param(NUL_IN_DATE, id="nul-in-date"),
     ])
     def test_plain_shapes_take_the_bulk_path(self, tmp_path, text):
         path = tmp_path / "series.csv"
@@ -591,6 +645,7 @@ class TestReadSeries:
         ("a,1\nb,2,3\n", ":2: inconsistent column count"),
         ("1,2,3\n", ":1: expected 1 or 2 columns, got 3"),
         ("1.0\n\nvalue\n", ":3: not a number: 'value'"),
+        pytest.param(NUL_IN_VALUE, ":3: not a number: '3", id="nul-in-value"),
         ("date,value\n", "no observations found in "),
         # a quote left open runs past csv's field size limit of 131,072 characters
         pytest.param(OPEN_QUOTE_HEADER, ":1: the row starting here cannot be read",
