@@ -23,6 +23,12 @@ The jump sums are taken on the equidistant observation grid, 32 x 32 times
 at a time: exp(A (t - tau)) factors into an exponential at the start of t's
 row of 32 times and one of t's offset in that row, so a block of 1,024 sums
 is one small matrix product and costs 64 exponentials per jump it keeps.
+Which jumps a block keeps is decided by one comparison per jump: of the m
+jumps born by its first time t0, one is dropped when its value at t0 is at
+most 1e-15 L / m, L their sum at the block's last time.  L is at most the
+sum at every time of the block, so the dropped mass is at most 1e-15 of it.
+This cutoff costs two exponentials, in every block, for each jump born since
+the window's start.
 """
 
 from __future__ import annotations
@@ -247,9 +253,12 @@ def _jump_sum(jumps: JumpStream, weights: np.ndarray, first: int, n: int,
     The cutoff: the jumps born by the chunk's first time t0 give a floor L
     = sum of w_i exp(A_i (t1 - tau_i)) on the whole chunk, t1 its last time,
     since every term is positive and decreasing: L <= S(t) for every t in
-    [t0, t1].  The smallest of those jumps, ranked by their value at t0, are
-    dropped while their summed value at t0 stays <= _REL_CUTOFF * L, so the
-    dropped mass is at most _REL_CUTOFF * S(t) at every t of the chunk.
+    [t0, t1].  Of those `old` jumps, one is dropped when its value at t0 is
+    at most _REL_CUTOFF * L / old.  At most `old` are dropped, so the
+    dropped mass is at most _REL_CUTOFF * L <= _REL_CUTOFF * S(t) at every t
+    of the chunk; when L > 0 at least one jump is kept, since L <= old times
+    the largest value.  The cutoff costs two exponentials, in every chunk,
+    for each jump born since the window's start.
     """
     size = _ROWS * _COLS
     # the grid padded to whole rows; the values past its n-th time are cut off
@@ -267,15 +276,10 @@ def _jump_sum(jumps: JumpStream, weights: np.ndarray, first: int, n: int,
         if old:
             at_t0 = weights[:old] * np.exp(rates[:old] * (t0 - tau[:old]))
             floor = at_t0 @ np.exp(rates[:old] * (t1 - t0))
-            ranked = np.sort(at_t0)
-            dropped = int(np.searchsorted(np.cumsum(ranked), _REL_CUTOFF * floor,
-                                          side="right"))
-            if dropped < old:
-                # ties with the smallest kept value are kept too
-                keep = at_t0 >= ranked[dropped]
-                a = rates[:old][keep]
-                left.append(at_t0[keep][:, None] * np.exp(np.outer(a, starts - t0)))
-                left_rates.append(a)
+            keep = at_t0 > _REL_CUTOFF / old * floor
+            a = rates[:old][keep]
+            left.append(at_t0[keep][:, None] * np.exp(np.outer(a, starts - t0)))
+            left_rates.append(a)
         if hi > old:
             a, w, born = rates[old:hi], weights[old:hi], tau[old:hi]
             dt = starts - born[:, None]

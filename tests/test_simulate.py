@@ -56,18 +56,20 @@ def dense_evaluate(stream, t, block=500):
     return out
 
 
-def dense_integrate(stream, schedule, block=500):
+def dense_integrate(stream, schedule, intervals=None, block=500):
     """V_n from every jump born before the interval's end, with no cutoff.
 
-    The intervals end at the edges delta * n as `integrate_supou` computes
-    them: a jump born within an ulp of an edge makes V_n sensitive to that
-    ulp, so a + delta, which can differ from it by one, is not used.
+    For the intervals n in `intervals` (0-based, all by default).  They end
+    at the edges delta * n as `integrate_supou` computes them: a jump born
+    within an ulp of an edge makes V_n sensitive to that ulp, so a + delta,
+    which can differ from it by one, is not used.
     """
     edges = schedule.delta * np.arange(schedule.n_obs + 1)
-    out = np.empty(schedule.n_obs)
-    for i in range(0, schedule.n_obs, block):
-        a = edges[:-1][i:i + block, None]
-        b = edges[1:][i:i + block, None]
+    k = np.arange(schedule.n_obs) if intervals is None else np.asarray(intervals)
+    out = np.empty(k.size)
+    for i in range(0, k.size, block):
+        a = edges[k[i:i + block], None]
+        b = edges[k[i:i + block] + 1, None]
         lo = np.maximum(a, stream.times[None, :])
         rates = stream.rates
         terms = (stream.sizes / rates * np.exp(rates * (lo - stream.times))
@@ -213,6 +215,50 @@ class TestKernelCutoff:
         sched = ObservationSchedule(0.5, 200)
         v = integrate_supou(stream, sched).values
         v_ref = dense_integrate(stream, sched)
+        assert np.max(np.abs(v - v_ref) / v_ref) <= 1e-12
+
+    def test_tied_jumps(self):
+        # 300 old jumps born at one time with one size and rate under one slow
+        # dominant jump: their values at a chunk's start are all equal, so
+        # the cutoff keeps or drops the whole group.  At the fifth chunk's
+        # start they sum to 2.5e-15 of its floor, so a cutoff that drops the
+        # smallest values while their sum stays below 1e-15 of it would split
+        # the group there; it is kept whole in the first five chunks and
+        # dropped whole after.
+        tied = 300
+        stream = JumpStream(
+            times=np.concatenate([[-10.0], np.zeros(tied)]),
+            sizes=np.ones(tied + 1),
+            rates=np.concatenate([[-0.001], np.full(tied, -0.01085)]),
+            window_start=-10.0,
+            window_end=10_000.0,
+        )
+        sched = ObservationSchedule(1.0, 10_000)
+        x = evaluate_supou(stream, sched).values
+        x_ref = dense_evaluate(stream, sched.times())
+        share = tied * np.exp(-0.00985 * sched.times() + 0.01)
+        assert share[0] > 1.0 and share[-1] < 1e-30
+        assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-12
+        v = integrate_supou(stream, sched).values
+        v_ref = dense_integrate(stream, sched)
+        assert np.max(np.abs(v - v_ref) / v_ref) <= 1e-12
+
+    @pytest.mark.parametrize("alpha_pi", [1.1, 1.95])
+    def test_long_path(self, alpha_pi):
+        # 10^5 times, about 98 chunks, where the jumps born before each chunk
+        # pile up into the thousands and the cutoff drops most of them; the
+        # dense sums are taken at about 2,100 times and intervals: every 50th,
+        # the last of each chunk and the last
+        sched = ObservationSchedule(1.0, 100_000)
+        pi = PiSpec.from_params(ParamVector(0.015, 0.003, alpha_pi, -0.1))
+        stream = sample_jump_stream(SPEC, pi, (-2000.0, sched.horizon), seed=3)
+        k = np.unique(np.concatenate([np.arange(0, sched.n_obs, 50),
+                                      np.arange(1023, sched.n_obs, 1024), [sched.n_obs - 1]]))
+        x = evaluate_supou(stream, sched).values[k]
+        x_ref = dense_evaluate(stream, sched.times()[k])
+        assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-12
+        v = integrate_supou(stream, sched).values[k]
+        v_ref = dense_integrate(stream, sched, k)
         assert np.max(np.abs(v - v_ref) / v_ref) <= 1e-12
 
 
