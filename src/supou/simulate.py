@@ -136,6 +136,9 @@ class JumpStream:
         t, u, a = self.times, self.sizes, self.rates
         if not (t.shape == u.shape == a.shape) or t.ndim != 1:
             raise DomainError("times, sizes and rates must be 1-d arrays of equal length")
+        for name, x in (("times", t), ("sizes", u), ("rates", a)):
+            if not np.all(np.isfinite(x)):
+                raise DomainError(f"jump {name} must be finite")
         if t.size:
             if np.any(np.diff(t) < 0.0):
                 raise DomainError("jump times must be nondecreasing")
@@ -243,12 +246,13 @@ def _jump_sum(jumps: JumpStream, weights: np.ndarray, first: int, n: int,
     + k).  The times are cut into chunks of _ROWS x _COLS, one row per
     _COLS consecutive times.  At the time b steps into the row that starts
     at s, a term factors as w exp(A (s - tau)) * exp(A b step): a left
-    factor per row and a right factor per column.  So a chunk's block of
-    sums is one small GEMM, left^T @ right over the jumps, and each jump
-    costs _ROWS + _COLS exponentials per chunk instead of one per time.  A
-    jump born inside the chunk has a left factor of 0 on the rows that
-    start before it, and the part of its birth row at or after it is added
-    term by term, each row by a one-hot GEMM.
+    factor per row and a right factor per column.  Every jump the chunk
+    keeps has the one left factor w exp(A (s - tau)) on the rows that start
+    at or after its birth, and 0 on the rows before.  So a chunk's block of
+    sums is one small GEMM, left^T @ right over the kept jumps, and each
+    kept jump costs _ROWS + _COLS exponentials per chunk instead of one per
+    time.  The chunk keeps every jump born inside it, and the part of its
+    birth row at or after its birth is added by a one-hot GEMM.
 
     The cutoff: the jumps born by the chunk's first time t0 give a floor L
     = sum of w_i exp(A_i (t1 - tau_i)) on the whole chunk, t1 its last time,
@@ -271,30 +275,22 @@ def _jump_sum(jumps: JumpStream, weights: np.ndarray, first: int, n: int,
         starts = times[:, 0]
         t0, t1 = starts[0], grid[min(i0 + size, n) - 1]
         old, hi = np.searchsorted(tau, (t0, t1), side="right").tolist()
-        block = np.zeros(times.shape)
-        left, left_rates = [], []
-        if old:
-            at_t0 = weights[:old] * np.exp(rates[:old] * (t0 - tau[:old]))
-            floor = at_t0 @ np.exp(rates[:old] * (t1 - t0))
-            keep = at_t0 > _REL_CUTOFF / old * floor
-            a = rates[:old][keep]
-            left.append(at_t0[keep][:, None] * np.exp(np.outer(a, starts - t0)))
-            left_rates.append(a)
-        if hi > old:
-            a, w, born = rates[old:hi], weights[old:hi], tau[old:hi]
-            dt = starts - born[:, None]
-            left.append(w[:, None] * np.exp(a[:, None] * dt, where=dt >= 0.0,
-                                            out=np.zeros(dt.shape)))
-            left_rates.append(a)
-            # the last row that starts before the jump is its birth row
-            row = np.searchsorted(starts, born, side="left") - 1
-            dt = times[row] - born[:, None]
-            birth = w[:, None] * np.exp(a[:, None] * dt, where=dt >= 0.0,
-                                        out=np.zeros(dt.shape))
-            block += (row == np.arange(starts.size)[:, None]) @ birth
-        if left:
-            right = np.exp(np.outer(np.concatenate(left_rates), lag))
-            block += np.concatenate(left).T @ right
+        at_t0 = weights[:old] * np.exp(rates[:old] * (t0 - tau[:old]))
+        floor = at_t0 @ np.exp(rates[:old] * (t1 - t0))
+        # every jump born inside the chunk, and the old ones above the cutoff
+        # (with no old jump the comparison is empty, hence max)
+        keep = np.arange(hi) >= old
+        keep[:old] = at_t0 > _REL_CUTOFF / max(old, 1) * floor
+        a, w, born = rates[:hi][keep], weights[:hi][keep], tau[:hi][keep]
+        dt = starts - born[:, None]
+        left = w[:, None] * np.exp(a[:, None] * dt, where=dt >= 0.0, out=np.zeros(dt.shape))
+        block = left.T @ np.exp(np.outer(a, lag))
+        a, w, born = rates[old:hi], weights[old:hi], tau[old:hi]
+        # the last row that starts before the jump is its birth row
+        row = np.searchsorted(starts, born, side="left") - 1
+        dt = times[row] - born[:, None]
+        birth = w[:, None] * np.exp(a[:, None] * dt, where=dt >= 0.0, out=np.zeros(dt.shape))
+        block += (row == np.arange(starts.size)[:, None]) @ birth
         out[i0:i0 + block.size] = block.ravel()
     return out[:n]
 

@@ -46,23 +46,30 @@ def empty_stream(window=(-1.0, 10.0)):
     return JumpStream(e, e.copy(), e.copy(), window[0], window[1])
 
 
-def dense_evaluate(stream, t, block=500):
-    """X(t) from every jump born by t, with no cutoff at all."""
+def row_sums(terms, exact):
+    # math.fsum rounds each row's sum once, so an exact reference's error is
+    # that of its terms alone
+    return np.array([math.fsum(row) for row in terms.tolist()]) if exact else terms.sum(axis=1)
+
+
+def dense_evaluate(stream, t, block=500, exact=False):
+    """X(t) from every jump born by t, with no cutoff at all; summed exactly if `exact`."""
     out = np.empty(t.size)
     for i in range(0, t.size, block):
         dt = t[i:i + block, None] - stream.times[None, :]
         terms = np.exp(stream.rates * np.maximum(dt, 0.0)) * stream.sizes
-        out[i:i + block] = np.where(dt >= 0.0, terms, 0.0).sum(axis=1)
+        out[i:i + block] = row_sums(np.where(dt >= 0.0, terms, 0.0), exact)
     return out
 
 
-def dense_integrate(stream, schedule, intervals=None, block=500):
+def dense_integrate(stream, schedule, intervals=None, block=500, exact=False):
     """V_n from every jump born before the interval's end, with no cutoff.
 
-    For the intervals n in `intervals` (0-based, all by default).  They end
-    at the edges delta * n as `integrate_supou` computes them: a jump born
-    within an ulp of an edge makes V_n sensitive to that ulp, so a + delta,
-    which can differ from it by one, is not used.
+    For the intervals n in `intervals` (0-based, all by default), summed
+    exactly if `exact`.  They end at the edges delta * n as
+    `integrate_supou` computes them: a jump born within an ulp of an edge
+    makes V_n sensitive to that ulp, so a + delta, which can differ from it
+    by one, is not used.
     """
     edges = schedule.delta * np.arange(schedule.n_obs + 1)
     k = np.arange(schedule.n_obs) if intervals is None else np.asarray(intervals)
@@ -74,7 +81,7 @@ def dense_integrate(stream, schedule, intervals=None, block=500):
         rates = stream.rates
         terms = (stream.sizes / rates * np.exp(rates * (lo - stream.times))
                  * np.expm1(rates * np.maximum(b - lo, 0.0)))
-        out[i:i + block] = np.where(stream.times < b, terms, 0.0).sum(axis=1)
+        out[i:i + block] = row_sums(np.where(stream.times < b, terms, 0.0), exact)
     return out
 
 
@@ -143,6 +150,14 @@ class TestJumpStream:
             JumpStream(np.array([1.0]), np.array([1.0]), np.array([0.5]), 0.0, 2.0)
         with pytest.raises(DomainError):
             sample_jump_stream(SPEC, PI, (1.0, 1.0), seed=0)
+        # every order and sign comparison is False for a nan, and inf passes
+        # the sign checks, so these are rejected by name, not by those checks
+        for field, value in (("times", np.nan), ("sizes", np.nan), ("rates", np.nan),
+                             ("sizes", np.inf), ("rates", -np.inf)):
+            triple = {"times": np.ones(1), "sizes": np.ones(1), "rates": -np.ones(1)}
+            triple[field] = np.array([value])
+            with pytest.raises(DomainError, match=f"jump {field} must be finite"):
+                JumpStream(**triple, window_start=0.0, window_end=2.0)
 
 
 class TestEvaluate:
@@ -260,6 +275,52 @@ class TestKernelCutoff:
         v = integrate_supou(stream, sched).values[k]
         v_ref = dense_integrate(stream, sched, k)
         assert np.max(np.abs(v - v_ref) / v_ref) <= 1e-12
+
+    @pytest.mark.parametrize("alpha_pi", [1.1, 1.95])
+    def test_long_path_exact_sums(self, alpha_pi):
+        # the paths of test_long_path against sums rounded once, at about 400
+        # times: the first and last of each chunk, every 500th and the last.
+        # The kernel's error read at most 1.8e-15 on seeds 1-3 at alpha_pi
+        # 1.1 and 1.95; a cutoff at 1e-15 of the floor without the 1 / old
+        # reads 6.8e-15 or more at 1.1, which test_long_path's 1e-12 lets pass
+        sched = ObservationSchedule(1.0, 100_000)
+        pi = PiSpec.from_params(ParamVector(0.015, 0.003, alpha_pi, -0.1))
+        stream = sample_jump_stream(SPEC, pi, (-2000.0, sched.horizon), seed=3)
+        k = np.unique(np.concatenate([np.arange(0, sched.n_obs, 1024),
+                                      np.arange(1023, sched.n_obs, 1024),
+                                      np.arange(0, sched.n_obs, 500), [sched.n_obs - 1]]))
+        x = evaluate_supou(stream, sched).values[k]
+        x_ref = dense_evaluate(stream, sched.times()[k], exact=True)
+        assert np.max(np.abs(x - x_ref) / x_ref) <= 4e-15
+        v = integrate_supou(stream, sched).values[k]
+        v_ref = dense_integrate(stream, sched, k, exact=True)
+        assert np.max(np.abs(v - v_ref) / v_ref) <= 4e-15
+
+    def test_tied_tiny_jumps(self):
+        # 3,000 old jumps, each 1e-17 of a dominant jump born with them at
+        # the same rate: 3e-14 of every sum.  With old = 3,001 each is above
+        # 1e-15 / old of the floor and kept, but below 1e-13 / old of it, so
+        # a cutoff 100 times too loose drops them all.  They come before the
+        # dominant jump, so a product that adds the terms in order sums them
+        # first; listed after it, they gave 4.6e-15 under OpenBLAS, the tiny
+        # terms being added one by one to the dominant one
+        tied = 3000
+        stream = JumpStream(
+            times=np.full(tied + 1, -10.0),
+            sizes=np.concatenate([np.full(tied, 1e-17), [1.0]]),
+            rates=np.full(tied + 1, -0.001),
+            window_start=-10.0,
+            window_end=5000.0,
+        )
+        sched = ObservationSchedule(1.0, 5000)
+        k = np.unique(np.concatenate([np.arange(0, sched.n_obs, 97),
+                                      np.arange(1023, sched.n_obs, 1024)]))
+        x = evaluate_supou(stream, sched).values[k]
+        x_ref = dense_evaluate(stream, sched.times()[k], exact=True)
+        assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-14
+        v = integrate_supou(stream, sched).values[k]
+        v_ref = dense_integrate(stream, sched, k, exact=True)
+        assert np.max(np.abs(v - v_ref) / v_ref) <= 1e-14
 
 
 class TestGridKernel:
