@@ -1,6 +1,9 @@
 """Command-line surface: simulate, estimate, study and fit subcommands.
 
-Exit codes: 0 success, 2 usage or input error, 3 estimation non-convergence.
+Exit codes: 0 success, 2 usage or input error, 3 estimation non-convergence
+or an estimator that cannot run on the data (no dispersion, or a singular
+moment covariance), in which case nothing is written.  `main` alone maps the
+package's errors to these codes.
 A subcommand creates its output directory only after its inputs are
 validated and its outputs computed (simulate's path files excepted: each is
 written as it is drawn, the directory with the first), so a command that
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .descriptive import demean, histogram, normal_qq_points, sample_acov, sample_var
-from .errors import DataError, DomainError, InitializationError, ParameterError
+from .errors import DataError, DomainError, InitializationError, SingularWeightingError
 from .gmm import (
     GmmResult,
     MomentConditionSet,
@@ -59,7 +62,7 @@ from .moments import (
     sv_sqret_acov,
     sv_sqret_var,
 )
-from .params import ModelKind, ObservationSchedule, ParamVector, PiSpec
+from .params import ModelKind, ObservationSchedule, ParamVector, PiSpec, annualize
 from .simulate import LevySpec, SimulationConfig, _rng, simulate_path
 
 logger = logging.getLogger("supou.cli")
@@ -85,14 +88,6 @@ _READ_BLOCK_BYTES = 1 << 16
 # every byte but the comma and LF, which `_read_blocks` deletes to see a
 # block's separators
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
-
-
-class CliError(Exception):
-    """Input or configuration problem; carries the process exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
 
 
 def _positive_int(text: str) -> int:
@@ -290,11 +285,11 @@ def read_series(path: str) -> _Series:
     dates as a `_DateColumn`, or None for `value` rows.
     """
     if not os.path.exists(path):
-        raise CliError(f"input file not found: {path}")
+        raise DataError(f"input file not found: {path}")
     try:
         return _read_blocks(path) or _read_rows(path)
     except OSError as exc:  # a directory, or no permission to read
-        raise CliError(f"cannot read input file {path}: {exc.strerror or exc}") from exc
+        raise DataError(f"cannot read input file {path}: {exc.strerror or exc}") from exc
 
 
 def _blocks(path: str) -> Iterator[bytes]:
@@ -322,8 +317,8 @@ def _blocks(path: str) -> Iterator[bytes]:
             try:
                 block.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise CliError(f"{path}: not valid UTF-8 at byte offset "
-                               f"{offset + exc.start}") from exc
+                raise DataError(f"{path}: not valid UTF-8 at byte offset "
+                                f"{offset + exc.start}") from exc
             yield block.removeprefix(codecs.BOM_UTF8) if offset == 0 else block
             offset += len(block)
 
@@ -413,15 +408,15 @@ def _read_rows(path: str) -> _Series:
                 if n_cols is None:
                     n_cols = len(row)
                     if n_cols not in (1, 2):
-                        raise CliError(f"{path}:{lineno}: expected 1 or 2 columns, got {n_cols}")
+                        raise DataError(f"{path}:{lineno}: expected 1 or 2 columns, got {n_cols}")
                 if len(row) != n_cols:
-                    raise CliError(f"{path}:{lineno}: inconsistent column count")
+                    raise DataError(f"{path}:{lineno}: inconsistent column count")
                 try:
                     value = float(row[-1])
                 except ValueError as exc:
-                    raise CliError(f"{path}:{lineno}: not a number: {row[-1]!r}") from exc
+                    raise DataError(f"{path}:{lineno}: not a number: {row[-1]!r}") from exc
                 if not math.isfinite(value):
-                    raise CliError(f"{path}:{lineno}: not a finite number: {row[-1]!r}")
+                    raise DataError(f"{path}:{lineno}: not a finite number: {row[-1]!r}")
                 values.append(value)
                 if n_cols == 2:
                     buffer += row[0].encode("utf-8") + b"\n"
@@ -429,10 +424,10 @@ def _read_rows(path: str) -> _Series:
     except csv.Error as exc:
         # a quote left open makes one field of the rest of the file, which
         # csv stops at its field size limit
-        raise CliError(f"{path}:{next_row_line}: the row starting here cannot be read "
-                       f"({exc}); is a quote left open?") from exc
+        raise DataError(f"{path}:{next_row_line}: the row starting here cannot be read "
+                        f"({exc}); is a quote left open?") from exc
     if not values:
-        raise CliError(f"no observations found in {path}")
+        raise DataError(f"no observations found in {path}")
     return _columns(buffer, offsets, values, n_cols == 2)
 
 
@@ -445,11 +440,8 @@ def _columns(buffer: bytearray, offsets: array, values: array, dated: bool) -> _
 
 def _model_from_args(args) -> Tuple[ParamVector, LevySpec]:
     """Parameters and the compound Poisson spec with their (mu, sigma2)."""
-    try:
-        beta = ParamVector(args.mu, args.sigma2, args.alpha_pi, args.B)
-        return beta, LevySpec.from_moments(beta.mu, beta.sigma2, args.jump_shape)
-    except ParameterError as exc:
-        raise CliError(f"invalid parameters: {exc}") from exc
+    beta = ParamVector(args.mu, args.sigma2, args.alpha_pi, args.B)
+    return beta, LevySpec.from_moments(beta.mu, beta.sigma2, args.jump_shape)
 
 
 def _conditions_from_args(args, kind: ModelKind) -> MomentConditionSet:
@@ -501,17 +493,18 @@ def _run_estimate(args, conditions: MomentConditionSet,
 
     SV returns are demeaned in place: the series is the caller's own, the
     reader's or `np.diff`'s, so no second copy of it is made.  Returns the
-    data fitted (`series` itself), the result and its JSON payload.
+    data fitted (`series` itself), the result and its JSON payload, which
+    ends with the annualized step-2 estimate when --annualize-factor is given.
     """
     if conditions.kind is ModelKind.SV:
         series -= series.mean()
-    try:
-        result = two_step_gmm(series, conditions.kind, conditions=conditions)
-    except DataError as exc:
-        raise CliError(f"estimation failed: {exc}") from exc
-    except (InitializationError, ParameterError) as exc:
-        raise CliError(f"estimation failed: {exc}", code=EXIT_NONCONVERGED) from exc
-    return series, result, result.to_dict(annualize_factor=args.annualize_factor)
+    result = two_step_gmm(series, conditions.kind, conditions=conditions)
+    payload = result.to_dict()
+    if args.annualize_factor is not None:
+        payload["annualize_factor"] = args.annualize_factor
+        payload["step2_estimate_annualized"] = asdict(
+            annualize(result.step2_estimate, args.annualize_factor))
+    return series, result, payload
 
 
 def _finish_estimate(args, data: np.ndarray, result: GmmResult, payload: Dict) -> int:
@@ -529,7 +522,7 @@ def _read_input(args) -> Tuple[MomentConditionSet, _Series]:
     flags that need no data are checked before the file is read."""
     factor = args.annualize_factor
     if factor is not None and not (math.isfinite(factor) and factor > 0.0):
-        raise CliError(f"--annualize-factor must be finite and > 0, got {factor}")
+        raise DomainError(f"--annualize-factor must be finite and > 0, got {factor}")
     return _conditions_from_args(args, ModelKind(args.model)), read_series(args.input)
 
 
@@ -654,16 +647,16 @@ def cmd_fit(args) -> int:
     kind = conditions.kind
     if args.prices:
         if np.any(series <= 0.0):
-            raise CliError("price series must be strictly positive to take log returns")
+            raise DataError("price series must be strictly positive to take log returns")
         # the log in place and the prices released: no copy of them outlives this
         series = np.diff(np.log(series, out=series))
         if dates is not None:
             dates = _DateColumn(dates.buffer, dates.offsets[1:])
     if series.size < 3:
-        raise CliError("need at least 3 observations after differencing")
+        raise DataError("need at least 3 observations after differencing")
     if args.acf_lags >= series.size:
-        raise CliError(f"--acf-lags {args.acf_lags} needs more than {args.acf_lags} "
-                       f"observations, got {series.size}")
+        raise DataError(f"--acf-lags {args.acf_lags} needs more than {args.acf_lags} "
+                        f"observations, got {series.size}")
     fitted, result, payload = _run_estimate(args, conditions, series)
     payload["acf_decay_exponent_step2"] = 1.0 - result.step2_estimate.alpha_pi
 
@@ -779,12 +772,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (DomainError, DataError, InitializationError, SingularWeightingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (DomainError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # bad input is a ValueError; data the estimator cannot fit, a RuntimeError
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NONCONVERGED
 
 
 if __name__ == "__main__":

@@ -32,7 +32,9 @@ class SingularWeightingError(RuntimeError):
 
 
 class InitializationError(RuntimeError):
-    """The closed-form initializer is not applicable to the supplied moments."""
+    """The estimator cannot start on the supplied data: the closed-form
+    initializer does not apply to its moments, or the cold start finds no
+    dispersion."""
 
 
 class QuadratureError(RuntimeError):

@@ -60,7 +60,7 @@ from .moments import (
     supou_mean,
     supou_var,
 )
-from .params import ModelKind, ParamVector, annualize
+from .params import ModelKind, ParamVector
 
 __all__ = [
     "MomentConditionSet",
@@ -172,9 +172,9 @@ class GmmResult:
     def converged_step2(self) -> bool:
         return self.step2_stop == "converged"
 
-    def to_dict(self, annualize_factor: Optional[float] = None) -> Dict:
+    def to_dict(self) -> Dict:
         """JSON-ready summary with a fixed field order."""
-        out: Dict = {
+        return {
             "model": self.conditions.kind.value,
             "lags": list(self.conditions.lags),
             "delta": self.conditions.delta,
@@ -188,12 +188,6 @@ class GmmResult:
             "step1_stop": self.step1_stop,
             "step2_stop": self.step2_stop,
         }
-        if annualize_factor is not None:
-            out["annualize_factor"] = annualize_factor
-            out["step2_estimate_annualized"] = asdict(
-                annualize(self.step2_estimate, annualize_factor)
-            )
-        return out
 
 
 # ---------------------------------------------------------------------------

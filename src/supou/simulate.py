@@ -122,8 +122,9 @@ class SimulationConfig:
 class JumpStream:
     """Realized jump triples (tau_i, U_i, A_i) on [window_start, window_end].
 
-    Times are nondecreasing: the jumps born before the window enter at
-    window_start with their value there as size.
+    The window is finite with window_start < window_end.  Times are
+    nondecreasing: the jumps born before the window enter at window_start
+    with their value there as size.
     """
 
     times: np.ndarray
@@ -136,6 +137,10 @@ class JumpStream:
         t, u, a = self.times, self.sizes, self.rates
         if not (t.shape == u.shape == a.shape) or t.ndim != 1:
             raise DomainError("times, sizes and rates must be 1-d arrays of equal length")
+        # every comparison with a nan is False
+        if not -math.inf < self.window_start < self.window_end < math.inf:
+            raise DomainError(f"window must be finite with start < end, got "
+                              f"({self.window_start}, {self.window_end})")
         for name, x in (("times", t), ("sizes", u), ("rates", a)):
             if not np.all(np.isfinite(x)):
                 raise DomainError(f"jump {name} must be finite")

@@ -27,11 +27,12 @@ from supou import (
 )
 from supou import cli
 from supou.cli import (
-    _G17_MIN_CELLS, CSV_CHUNK_ROWS, HIST_BINS, PARAM_NAMES, _READ_BLOCK_BYTES, CliError,
+    _G17_MIN_CELLS, CSV_CHUNK_ROWS, HIST_BINS, PARAM_NAMES, _READ_BLOCK_BYTES,
     _blocks, _g17, _g17_fixed, _read_blocks, _read_rows, _run_estimate, _write_csv,
     build_parser, main, read_series,
 )
 from supou.descriptive import demean, histogram, normal_qq_points
+from supou.errors import DataError
 from supou.gmm import PARAMETER_BOX, default_conditions
 
 
@@ -140,6 +141,8 @@ class TestEstimate:
         assert abs(step2["mu"] / 0.015 - 1.0) < 0.3
         assert abs(step2["sigma2"] / 0.003 - 1.0) < 0.3
         annual = result["step2_estimate_annualized"]
+        assert_allclose(annual["mu"], 250.0 * step2["mu"], rtol=1e-12)
+        assert annual["alpha_pi"] == step2["alpha_pi"]
         assert_allclose(annual["B"], 250.0 * step2["B"], rtol=1e-12)
 
     def test_constant_input_exit_3(self, tmp_path):
@@ -534,6 +537,34 @@ class TestHugeValues:
         assert not out.exists()
 
 
+class TestSingularCovariance:
+    # the exit code and message of the estimator's RuntimeErrors come from
+    # `main`, as those of the package's ValueErrors do
+    def test_cli_has_no_error_class_of_its_own(self):
+        assert not hasattr(cli, "CliError")
+
+    @pytest.mark.parametrize("model", ["supou", "integrated"])
+    def test_tiny_values_exit_3(self, tmp_path, capsys, model):
+        # the moment covariance of values near 1e-150 is of order 1e-600,
+        # below the least float, so step 2 cannot invert it
+        data = tmp_path / "tiny.csv"
+        values = 1e-150 * (1.0 + 0.1 * np.random.default_rng(1).random(300))
+        data.write_text("\n".join(map(repr, values.tolist())) + "\n")
+        out = tmp_path / "o"
+        assert run(["estimate", "--model", model, "--input", data, "--out-dir", out]) == 3
+        assert "error: moment covariance" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_study_exit_3(self, tmp_path, capsys, workers):
+        # at sigma2 = 1e300 the integrated path is all zeros
+        out = tmp_path / "study"
+        assert run(["study", "--model", "integrated", "--sigma2", 1e300, "--n-obs", 100,
+                    "--n-paths", 2, "--workers", workers, "--out-dir", out]) == 3
+        assert "error: moment covariance" in capsys.readouterr().err
+        assert not out.exists()
+
+
 PLAIN_VALUES = ["0.25", "-3", "+4", "1e5", " 1.0 ", "7.000000000000001e-05", "1_000", "2_5.0"]
 ODD_VALUES = ["nan", "inf", "-Infinity", "x", "", " "]
 PLAIN_DATES = ["2020-01-02", "d", " t ", "", "1.5", "2020_01_04"]
@@ -581,7 +612,7 @@ def series_texts(draw):
 def read_outcome(call):
     try:
         dates, values = call()
-    except CliError as exc:
+    except DataError as exc:
         return str(exc)
     if dates is not None:
         dates = dates.buffer, dates.offsets.dtype, dates.offsets.tobytes()
@@ -637,7 +668,7 @@ class TestReadSeries:
         # a Latin-1 e-acute at byte offset 17 of the file, 14 after the mark
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"\xef\xbb\xbfdate,value\ncaf\xe9,1.0\n")
-        with pytest.raises(CliError, match="not valid UTF-8 at byte offset 17"):
+        with pytest.raises(DataError, match="not valid UTF-8 at byte offset 17"):
             read_series(str(path))
 
     @pytest.mark.parametrize("text, message", [
@@ -656,9 +687,8 @@ class TestReadSeries:
     def test_errors_name_the_line(self, tmp_path, text, message):
         path = tmp_path / "series.csv"
         path.write_text(text)
-        with pytest.raises(CliError, match=message) as exc:
+        with pytest.raises(DataError, match=message):
             read_series(str(path))
-        assert exc.value.code == 2
 
 
 # rows of 16 bytes: without a header, each block of the bulk reader holds
@@ -732,7 +762,7 @@ class TestBlockReader:
         path = tmp_path / "latin1.csv"
         path.write_bytes(head + b"caf\xe9,1.0\n" + fixed_rows(5, True).encode())
         assert len(head) > 2 * _READ_BLOCK_BYTES
-        with pytest.raises(CliError, match=f"not valid UTF-8 at byte offset {len(head) + 3}$"):
+        with pytest.raises(DataError, match=f"not valid UTF-8 at byte offset {len(head) + 3}$"):
             read_series(str(path))
 
     def test_memory_follows_the_series(self, tmp_path):
@@ -822,7 +852,7 @@ class TestBlockReader:
         monkeypatch.setattr(cli, "_blocks", recorded)
         try:
             reader(str(path))
-        except CliError:
+        except DataError:
             pass
         # the generator stopped in the file's second block, and was closed
         # then, not when it was collected

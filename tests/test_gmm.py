@@ -794,14 +794,11 @@ class TestTwoStepGmm:
     def test_json_dict_fields(self):
         x = simulated_supou(seed=5, n_obs=2000)
         res = two_step_gmm(x, ModelKind.SUPOU)
-        payload = res.to_dict(annualize_factor=250.0)
+        payload = res.to_dict()
         assert list(payload)[:3] == ["model", "lags", "delta"]
         assert payload["model"] == "supou"
         assert payload["n_used"] == 1995
         assert payload["step2_stop"] == "converged" and payload["converged_step2"] is True
-        annual = payload["step2_estimate_annualized"]
-        assert_allclose(annual["mu"], 250.0 * payload["step2_estimate"]["mu"], rtol=1e-12)
-        assert annual["alpha_pi"] == payload["step2_estimate"]["alpha_pi"]
 
 
 # Cold-start fits (no start) of 20 paths of 10^4 observations, seeds 70000 + p,

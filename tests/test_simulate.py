@@ -158,6 +158,14 @@ class TestJumpStream:
             triple[field] = np.array([value])
             with pytest.raises(DomainError, match=f"jump {field} must be finite"):
                 JumpStream(**triple, window_start=0.0, window_end=2.0)
+        # `t < bound` is False for a nan bound, so the times' and the
+        # evaluators' window checks let it through; the window is checked itself
+        for window in ((np.nan, np.nan), (np.nan, 10.0), (10.0, -10.0), (0.0, np.inf),
+                       (-np.inf, 2.0)):
+            with pytest.raises(DomainError, match="window must be finite with start < end"):
+                JumpStream(np.ones(1), np.ones(1), -np.ones(1), *window)
+            with pytest.raises(DomainError, match="window must be finite with start < end"):
+                empty_stream(window)
 
 
 class TestEvaluate:
