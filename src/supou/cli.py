@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage or input error, 3 estimation non-convergence
 or an estimator that cannot run on the data (no dispersion, or a singular
-moment covariance), in which case nothing is written.  `main` alone maps the
-package's errors to these codes.
+moment covariance), in which case nothing is written; a study names the
+seed of the path that failed.  `main` alone maps the package's errors to
+these codes.
 A subcommand creates its output directory only after its inputs are
 validated and its outputs computed (simulate's path files excepted: each is
 written as it is drawn, the directory with the first), so a command that
@@ -13,8 +14,8 @@ writes, as bytes, what the csv module's default writer would: CRLF line
 endings, minimal quoting (date cells through `_csv_quoted`).  The column
 decides the cell: dates as read; floats as `%.17g`, at full float64
 precision, so reruns with the same seed are byte-identical; everything else
-as `%d`.  Every float goes through `_g17`, which formats many at once in
-one numpy pass instead of a float-to-text conversion per cell.
+as `%d`.  Every float goes through `_g17`, which formats a table of any
+size in one numpy pass, with `%` only for the values outside 1e-4 <= |v| < 1.
 An input series is read a block of bytes at a time, by `_blocks` alone,
 and parsed in bulk or by csv's row loop into one float64 array and, for
 `date,value` rows, one `_DateColumn`: the dates as one UTF-8 buffer and
@@ -79,9 +80,6 @@ START_JITTER = 0.5
 # rows per chunk of the CSV writer: `_write_csv` formats this many rows
 # with one %-operation
 CSV_CHUNK_ROWS = 4096
-# `_g17` formats fewer values than this by `%`, which is faster than
-# `_g17_fixed`'s fixed cost of about 40 numpy calls
-_G17_MIN_CELLS = 160
 # bytes per block of the bulk CSV reader, which extends a block to the end
 # of its last line
 _READ_BLOCK_BYTES = 1 << 16
@@ -156,14 +154,9 @@ def _csv_quoted(cell: bytes) -> bytes:
 
 
 def _g17(values: np.ndarray) -> List[bytes]:
-    """`b"%.17g" % v` for each v of `values`: all by `%` when there are
-    fewer than `_G17_MIN_CELLS`, else by `_g17_fixed` where it applies and
-    by `%` for the rest."""
-    if values.size < _G17_MIN_CELLS:
-        return [b"%.17g" % v for v in values.tolist()]
+    """`b"%.17g" % v` for each v of `values`: by `_g17_fixed` where it
+    applies, and by `%` for the rest."""
     texts, fixed = _g17_fixed(values)
-    if fixed.all():
-        return texts.tolist()
     cells = np.zeros(values.size, dtype=texts.dtype)
     cells[fixed] = texts
     cells = cells.tolist()
@@ -450,11 +443,11 @@ def _conditions_from_args(args, kind: ModelKind) -> MomentConditionSet:
     return MomentConditionSet(kind=kind, lags=args.lags, delta=args.delta)
 
 
-def _manifest(args, extra: Dict) -> Dict:
+def _write_manifest(args, **extra) -> None:
+    """`manifest.json`: the version, the parsed flags, the command, then `extra`."""
     config = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
-    payload = {"version": __version__, "config": config}
-    payload.update(extra)
-    return payload
+    _write_json(os.path.join(args.out_dir, "manifest.json"),
+                {"version": __version__, "config": config, "command": args.command, **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +469,7 @@ def cmd_simulate(args) -> int:
         paths.append(os.path.basename(filename))
         logger.info("wrote %s (%d observations)", filename, schedule.n_obs)
 
-    _write_json(
-        os.path.join(args.out_dir, "manifest.json"),
-        _manifest(args, {"command": "simulate", "paths": paths}),
-    )
+    _write_manifest(args, paths=paths)
     return EXIT_OK
 
 
@@ -488,13 +478,13 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_estimate(args, conditions: MomentConditionSet,
-                  series: np.ndarray) -> Tuple[np.ndarray, GmmResult, Dict]:
+                  series: np.ndarray) -> Tuple[GmmResult, Dict]:
     """Cold-start two-step GMM of `conditions.kind` on a series.
 
     SV returns are demeaned in place: the series is the caller's own, the
     reader's or `np.diff`'s, so no second copy of it is made.  Returns the
-    data fitted (`series` itself), the result and its JSON payload, which
-    ends with the annualized step-2 estimate when --annualize-factor is given.
+    result and its JSON payload, which ends with the annualized step-2
+    estimate when --annualize-factor is given.
     """
     if conditions.kind is ModelKind.SV:
         series -= series.mean()
@@ -504,14 +494,13 @@ def _run_estimate(args, conditions: MomentConditionSet,
         payload["annualize_factor"] = args.annualize_factor
         payload["step2_estimate_annualized"] = asdict(
             annualize(result.step2_estimate, args.annualize_factor))
-    return series, result, payload
+    return result, payload
 
 
-def _finish_estimate(args, data: np.ndarray, result: GmmResult, payload: Dict) -> int:
+def _finish_estimate(args, n_observations: int, result: GmmResult, payload: Dict) -> int:
     """Write `<command>.json` and the manifest; exit 0, or 3 if step 2 did not converge."""
     _write_json(os.path.join(args.out_dir, f"{args.command}.json"), payload)
-    extra = {"command": args.command, "n_observations": int(data.size)}
-    _write_json(os.path.join(args.out_dir, "manifest.json"), _manifest(args, extra))
+    _write_manifest(args, n_observations=n_observations)
     logger.info("%s complete: step-2 %s (converged: %s)", args.command,
                 asdict(result.step2_estimate), result.converged_step2)
     return EXIT_OK if result.converged_step2 else EXIT_NONCONVERGED
@@ -528,9 +517,9 @@ def _read_input(args) -> Tuple[MomentConditionSet, _Series]:
 
 def cmd_estimate(args) -> int:
     conditions, (_, series) = _read_input(args)
-    data, result, payload = _run_estimate(args, conditions, series)
+    result, payload = _run_estimate(args, conditions, series)
     os.makedirs(args.out_dir, exist_ok=True)
-    return _finish_estimate(args, data, result, payload)
+    return _finish_estimate(args, series.size, result, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +530,9 @@ def _study_one_path(kind: ModelKind, beta_true: ParamVector, spec: LevySpec,
                     schedule: ObservationSchedule, conditions: MomentConditionSet,
                     seed: int) -> GmmResult:
     """One simulate-then-estimate replication: the `GmmResult` of the path
-    drawn from `seed`.  Module-level for pickling."""
+    drawn from `seed`.  An estimator error that exits 3 is raised again as
+    its own class, its message ending with the seed.  Module-level for
+    pickling."""
     sample = simulate_path(kind, spec, PiSpec.from_params(beta_true), schedule,
                            SimulationConfig(seed=seed))
 
@@ -550,7 +541,10 @@ def _study_one_path(kind: ModelKind, beta_true: ParamVector, spec: LevySpec,
     # draws are kept, so each path's start shape is the one its seed drew
     theta0 = transform(beta_true) + _rng(seed, 2).uniform(-START_JITTER, START_JITTER, size=4)
     data = demean(sample.values) if kind is ModelKind.SV else sample.values
-    return two_step_gmm(data, kind, conditions=conditions, start=untransform(theta0))
+    try:
+        return two_step_gmm(data, kind, conditions=conditions, start=untransform(theta0))
+    except (InitializationError, SingularWeightingError) as exc:
+        raise type(exc)(f"{exc} (study path with seed {seed})") from exc
 
 
 def cmd_study(args) -> int:
@@ -612,10 +606,7 @@ def cmd_study(args) -> int:
         summary["medians_step2"] = dict(zip(PARAM_NAMES, medians.tolist()))
         summary["median_abs_error_step2"] = dict(zip(PARAM_NAMES, errors.tolist()))
     _write_json(os.path.join(args.out_dir, "summary.json"), summary)
-    _write_json(
-        os.path.join(args.out_dir, "manifest.json"),
-        _manifest(args, {"command": "study"}),
-    )
+    _write_manifest(args)
     logger.info(
         "study complete: %d/%d paths converged in step 2",
         summary["converged_step2"], args.n_paths,
@@ -657,11 +648,11 @@ def cmd_fit(args) -> int:
     if args.acf_lags >= series.size:
         raise DataError(f"--acf-lags {args.acf_lags} needs more than {args.acf_lags} "
                         f"observations, got {series.size}")
-    fitted, result, payload = _run_estimate(args, conditions, series)
+    result, payload = _run_estimate(args, conditions, series)
     payload["acf_decay_exponent_step2"] = 1.0 - result.step2_estimate.alpha_pi
 
     # empirical curves are for the estimation series (squared returns for SV)
-    target = fitted * fitted if kind is ModelKind.SV else fitted
+    target = series * series if kind is ModelKind.SV else series
     lags = list(range(1, args.acf_lags + 1))
     emp_var = sample_var(target)
     emp_acov = sample_acov(target, lags)
@@ -672,11 +663,11 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     _write_csv(os.path.join(args.out_dir, "series_used.csv"), ["date", "value"],
-               [range(1, fitted.size + 1) if dates is None else dates, fitted])
+               [range(1, series.size + 1) if dates is None else dates, series])
     for step, columns in acf_columns.items():
         _write_csv(os.path.join(args.out_dir, f"acf_{step}.csv"),
                    ["lag", "empirical_acov", "model_acov", "empirical_acf", "model_acf"], columns)
-    return _finish_estimate(args, fitted, result, payload)
+    return _finish_estimate(args, series.size, result, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from supou import (
 )
 from supou import cli
 from supou.cli import (
-    _G17_MIN_CELLS, CSV_CHUNK_ROWS, HIST_BINS, PARAM_NAMES, _READ_BLOCK_BYTES,
+    CSV_CHUNK_ROWS, HIST_BINS, PARAM_NAMES, _READ_BLOCK_BYTES,
     _blocks, _g17, _g17_fixed, _read_blocks, _read_rows, _run_estimate, _write_csv,
     build_parser, main, read_series,
 )
@@ -518,9 +518,8 @@ class TestEstimateMatchesFit:
                           ObservationSchedule(1.0, 1500), SimulationConfig(seed=6)).values + 0.01
         expected = demean(y.copy())
         args = build_parser().parse_args(["estimate", "--model", "sv", "--input", "unused"])
-        fitted, _, _ = _run_estimate(args, default_conditions(ModelKind.SV), y)
-        assert fitted is y
-        assert_array_equal(fitted, expected)
+        _run_estimate(args, default_conditions(ModelKind.SV), y)
+        assert_array_equal(y, expected)
 
 
 class TestHugeValues:
@@ -563,6 +562,41 @@ class TestSingularCovariance:
                     "--n-paths", 2, "--workers", workers, "--out-dir", out]) == 3
         assert "error: moment covariance" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_study_names_the_seed(self, tmp_path, capsys, workers):
+        # path 0 (seed 10) fits; path 1 (seed 11) has a singular moment
+        # covariance, and the error names its seed
+        out = tmp_path / "study"
+        assert run(["study", "--model", "integrated", "--sigma2", 0.3, "--n-obs", 200,
+                    "--n-paths", 6, "--seed", 10, "--workers", workers, "--out-dir", out]) == 3
+        assert capsys.readouterr().err.rstrip().endswith("(study path with seed 11)")
+        assert not out.exists()
+
+
+class TestManifest:
+    """Every command's `manifest.json` starts with the same keys, in order."""
+
+    def test_key_order(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--n-obs", 300, "--out-dir", sim]) == 0
+        data = sim / "path_0000.csv"
+        commands = {
+            "simulate": ([], ["paths"]),
+            "estimate": (["estimate", "--input", data, "--out-dir", tmp_path / "estimate"],
+                         ["n_observations"]),
+            "fit": (["fit", "--model", "supou", "--returns", "--input", data,
+                     "--out-dir", tmp_path / "fit"], ["n_observations"]),
+            "study": (["study", "--n-obs", 300, "--n-paths", 1, "--out-dir", tmp_path / "study"],
+                      []),
+        }
+        for command, (argv, extra) in commands.items():
+            if argv:
+                assert run(argv) in (0, 3)
+            out = sim if command == "simulate" else tmp_path / command
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert list(manifest) == ["version", "config", "command", *extra]
+            assert manifest["command"] == command
 
 
 PLAIN_VALUES = ["0.25", "-3", "+4", "1e5", " 1.0 ", "7.000000000000001e-05", "1_000", "2_5.0"]
@@ -983,24 +1017,24 @@ class TestG17:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
     def test_any_float(self, values):
-        # repeated to `_G17_MIN_CELLS` values, so that they take the numpy path
-        values = np.resize(values, _G17_MIN_CELLS).tolist()
         assert _g17(np.array(values)) == [b"%.17g" % v for v in values]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(min_value=1e-4, max_value=1.0, exclude_max=True), min_size=1,
                     max_size=40), st.booleans())
     def test_fixed_range(self, values, negative):
-        values = np.resize([-v for v in values] if negative else values, _G17_MIN_CELLS).tolist()
+        values = [-v for v in values] if negative else values
         assert _g17(np.array(values)) == [b"%.17g" % v for v in values]
 
-    def test_few_values_take_percent(self, monkeypatch):
-        values = np.linspace(0.001, 0.9, _G17_MIN_CELLS)
+    def test_every_size_takes_numpy(self, monkeypatch):
+        # no size rule: every size, empty included, goes through `_g17_fixed`
+        sizes = [0, 1, 159, 160, 200]
+        values = np.linspace(0.001, 0.9, max(sizes))
         calls = []
         monkeypatch.setattr(cli, "_g17_fixed", lambda v: calls.append(v.size) or _g17_fixed(v))
-        for size in (1, _G17_MIN_CELLS - 1, _G17_MIN_CELLS):
+        for size in sizes:
             assert _g17(values[:size]) == [b"%.17g" % v for v in values[:size].tolist()]
-        assert calls == [_G17_MIN_CELLS]
+        assert calls == sizes
 
     def test_edges(self):
         values = np.concatenate([
