@@ -15,8 +15,10 @@ bounded nonlinear least-squares fit (scipy's trust-region reflective method)
 inside a fixed box around the start shape, and `_profile` gives the best
 m > 0 and sigma2 > 0 at each shape in closed form (variable projection).
 `_model_columns` evaluates e_0, c, w and the shape slopes of w, in closed
-form from the unit moments and slopes of `moments`; each fit evaluates it
-once per shape.
+form from the unit moments and slopes of `moments`.  Each `two_step_gmm` call
+keeps its own memo of it, so both steps and the two reported objectives
+evaluate each shape once; only `estimate_weighting`, which takes the
+conditions, evaluates the step-1 shape again.
 
 An estimate passes over the data once.  `_window_moments` forms the N-m
 window products one block of _WINDOW_BLOCK windows at a time in one reused
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache, partial
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -66,7 +69,6 @@ __all__ = [
     "MomentConditionSet",
     "GmmResult",
     "default_conditions",
-    "sample_moments",
     "objective",
     "estimate_weighting",
     "transform",
@@ -159,7 +161,6 @@ class GmmResult:
     step2_estimate: ParamVector
     step1_objective: float
     step2_objective: float
-    weighting: np.ndarray
     n_used: int
     step1_stop: str
     step2_stop: str
@@ -239,9 +240,10 @@ def _model_columns(alpha: float, B: float,
     return k, columns
 
 
-def _moment_targets(beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
-    """The model values of (E z, E z^2, E z_1 z_{1+h} ...) at beta."""
-    k, columns = _model_columns(beta.alpha_pi, beta.B, conditions)
+def _moment_targets(beta: ParamVector, model: Callable) -> np.ndarray:
+    """The model values of (E z, E z^2, E z_1 z_{1+h} ...) at beta, from
+    model(alpha_pi, B), which is `_model_columns` at the conditions."""
+    k, columns = model(beta.alpha_pi, beta.B)
     m = k * beta.mu
     return columns[:, :3] @ np.array([m, m * m, beta.sigma2])
 
@@ -290,16 +292,6 @@ def _window_moments(z: np.ndarray, conditions: MomentConditionSet) -> _WindowMom
     return _WindowMoments(n, total / n, scatter / n)
 
 
-def sample_moments(data, beta: ParamVector, conditions: MomentConditionSet) -> np.ndarray:
-    """Average of the moment function over all N-m sliding windows.
-
-    On a window of exactly m+1 observations this is the moment function
-    itself.
-    """
-    z = _estimation_series(data, conditions.kind)
-    return _window_moments(z, conditions).mean - _moment_targets(beta, conditions)
-
-
 def _require_pd(W, d: int) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if W.shape != (d, d):
@@ -314,9 +306,16 @@ def _require_pd(W, d: int) -> np.ndarray:
 
 
 def objective(data, beta: ParamVector, W, conditions: MomentConditionSet) -> float:
-    """GMM criterion g' W g for sample moments g and positive definite W."""
+    """GMM criterion g' W g for positive definite W.
+
+    g is the sample moments: the moment function averaged over all N-m
+    sliding windows, which on a window of exactly m+1 observations is the
+    moment function itself.
+    """
     W = _require_pd(W, conditions.d)
-    g = sample_moments(data, beta, conditions)
+    z = _estimation_series(data, conditions.kind)
+    g = _window_moments(z, conditions).mean - _moment_targets(
+        beta, partial(_model_columns, conditions=conditions))
     return float(g @ W @ g)
 
 
@@ -337,7 +336,8 @@ def estimate_weighting(data, beta1: ParamVector, conditions: MomentConditionSet)
                else _window_moments(_estimation_series(data, conditions.kind), conditions))
     if summary.n < conditions.d:
         raise DataError(f"need at least d = {conditions.d} windows, got {summary.n}")
-    deviation = summary.mean - _moment_targets(beta1, conditions)
+    deviation = summary.mean - _moment_targets(
+        beta1, partial(_model_columns, conditions=conditions))
     # C and the outer product are exactly symmetric, so S is too
     S = summary.cov + np.outer(deviation, deviation)
     S = S + (_RIDGE_SCALE * np.trace(S) / conditions.d) * np.eye(conditions.d)
@@ -556,14 +556,14 @@ def _mean_fit(gram: list, m: float) -> float:
 
 
 def _profile(base: np.ndarray, W: np.ndarray,
-             conditions: MomentConditionSet) -> Tuple[Callable, Callable, Callable]:
+             model: Callable) -> Tuple[Callable, Callable, Callable]:
     """The criterion g' W g as a function of the shape theta alone.
 
-    With W = L L', p = L'b, q = L'e_0, s = L'c and v = L'w (`_model_columns`),
-    the best m > 0 and sigma2 > 0 at a shape are closed-form (variable
-    projection, Golub & Pereyra 1973).  At a given m the best sigma2 is
-    v'(p - m q - m^2 s) / v'v, or the face sigma2 = 0 where that is not
-    positive; the best m is a stationary point of the criterion with v
+    With W = L L', p = L'b, q = L'e_0, s = L'c and v = L'w (model(alpha_pi,
+    B) is `_model_columns` at the conditions), the best m > 0 and sigma2 > 0
+    at a shape are closed-form (variable projection, Golub & Pereyra 1973).
+    At a given m the best sigma2 is v'(p - m q - m^2 s) / v'v, or the face
+    sigma2 = 0 where that is not positive; the best m is a stationary point of the criterion with v
     projected out, or of the criterion without v, or the face m = 0
     (`_stationary_means`), whichever fits best.  Each face stands at the
     least positive normal float.  The residuals are L' g there, and the
@@ -588,7 +588,7 @@ def _profile(base: np.ndarray, W: np.ndarray,
         if key not in evaluated:
             try:
                 alpha, B = 1.0 + math.exp(theta[0]), -math.exp(theta[1])
-                k, columns = _model_columns(alpha, B, conditions)
+                k, columns = model(alpha, B)
                 # p, q, s, v and the two slopes of v; in Xv, v is projected out
                 X = Lt @ np.concatenate((base[:, None], columns), axis=1)
                 G = X.T @ X
@@ -647,9 +647,13 @@ def two_step_gmm(
         _require_dispersion(base[0], summary.cov[0, 0])
     alpha, B = _cold_shape(conditions) if start is None else (start.alpha_pi, start.B)
     center = np.log([alpha - 1.0, -B])
+    # this call's evaluations of each shape: step 2 starts at the step-1
+    # shape, and the objectives are at both estimates.  Kept no longer, so
+    # another fit evaluates its shapes afresh.
+    model = cache(partial(_model_columns, conditions=conditions))
 
     def fit(W: np.ndarray, theta0: np.ndarray) -> Tuple[np.ndarray, ParamVector, str]:
-        evaluate, residuals, jac = _profile(base, W, conditions)
+        evaluate, residuals, jac = _profile(base, W, model)
         theta, stop = minimize(residuals, jac, theta0, center)
         beta, _, _, on_face = evaluate(theta)
         return theta, beta, ("at_box_edge" if on_face else stop)
@@ -660,15 +664,14 @@ def two_step_gmm(
 
     # the values of `objective` (identity weighting in step 1), without
     # rebuilding the data products
-    g1 = base - _moment_targets(beta1, conditions)
-    g2 = base - _moment_targets(beta2, conditions)
+    g1 = base - _moment_targets(beta1, model)
+    g2 = base - _moment_targets(beta2, model)
     return GmmResult(
         conditions=conditions,
         step1_estimate=beta1,
         step2_estimate=beta2,
         step1_objective=float(g1 @ g1),
         step2_objective=float(g2 @ weighting @ g2),
-        weighting=weighting,
         n_used=summary.n,
         step1_stop=stop1,
         step2_stop=stop2,

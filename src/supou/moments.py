@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import exprel, gammaln
 
 from .errors import DomainError, ParameterError, QuadratureError
@@ -246,6 +245,9 @@ def gamma_mix_integral(kernel: Callable[[float], float], alpha_pi: float, B: flo
     Raises QuadratureError when the reported error exceeds 100 times the
     relative tolerance _QUAD_REL_TOL.
     """
+    # only this oracle integrates, so importing the package leaves scipy.integrate out
+    from scipy.integrate import quad
+
     log_norm = gammaln(alpha_pi)
 
     def integrand(r: float) -> float:

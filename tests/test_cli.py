@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -572,6 +574,16 @@ class TestSingularCovariance:
                     "--n-paths", 6, "--seed", 10, "--workers", workers, "--out-dir", out]) == 3
         assert capsys.readouterr().err.rstrip().endswith("(study path with seed 11)")
         assert not out.exists()
+
+
+class TestImports:
+    def test_cli_leaves_the_quadrature_unloaded(self):
+        # only the quadrature oracle integrates, and it imports scipy.integrate
+        # itself, so a command's process never loads it
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, supou.cli; sys.exit('scipy.integrate' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestManifest:

@@ -3,6 +3,7 @@
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from supou import (
     minimize,
     objective,
     quadrature_moments,
-    sample_moments,
     simulate_path,
     supou_acf,
     supou_mean,
@@ -58,6 +58,23 @@ INT_CONDS = default_conditions(ModelKind.INTEGRATED)
 SV_CONDS = default_conditions(ModelKind.SV)
 
 
+def shape_model(conditions):
+    """`_model_columns` at `conditions`, as a function of the shape (alpha_pi, B)."""
+    return partial(_model_columns, conditions=conditions)
+
+
+def targets(beta, conditions):
+    return _moment_targets(beta, shape_model(conditions))
+
+
+def mean_moments(data, beta, conditions):
+    """The sample moments of `objective`: the moment function averaged over
+    all N-m sliding windows, which on a window of m+1 observations is the
+    moment function itself."""
+    z = gmm._estimation_series(data, conditions.kind)
+    return gmm._window_moments(z, conditions).mean - targets(beta, conditions)
+
+
 def simulated_supou(seed=42, n_obs=10_000):
     spec = LevySpec(0.1, 3.0, 20.0)
     pi = PiSpec.from_params(BETA)
@@ -80,44 +97,44 @@ class TestMomentConditionSet:
 
 
 class TestMomentFunctions:
-    """sample_moments on one window of m+1 observations is the moment function."""
+    """The sample moments on one window of m+1 observations are the moment function."""
 
     def test_supou_at_stationary_mean(self):
         window = np.full(6, 0.05)
-        f = sample_moments(window, BETA, SUPOU_CONDS)
+        f = mean_moments(window, BETA, SUPOU_CONDS)
         assert_allclose(f[0], 0.0, atol=1e-15)
         assert_allclose(f[1], -0.005, rtol=1e-12)
 
     def test_supou_mean_component(self):
         window = np.full(6, 0.06)
-        f = sample_moments(window, BETA, SUPOU_CONDS)
+        f = mean_moments(window, BETA, SUPOU_CONDS)
         assert_allclose(f[0], 0.01, rtol=1e-12)
 
     def test_int_lag_component(self):
         window = np.full(6, 0.05)
-        f = sample_moments(window, BETA, INT_CONDS)
+        f = mean_moments(window, BETA, INT_CONDS)
         assert_allclose(f[2], 0.0025 - 0.0025 - 0.003 / 0.792, rtol=1e-10)
 
     def test_int_var_without_sigma(self):
         # covariance terms vanish linearly with sigma2
         tiny = ParamVector(0.015, 1e-14, 4.0, -0.1)
         window = np.full(6, 0.07)
-        f = sample_moments(window, tiny, INT_CONDS)
+        f = mean_moments(window, tiny, INT_CONDS)
         assert_allclose(f[1], 0.07**2 - 0.05**2, rtol=1e-9)
 
     def test_sv_mean_component_sign(self):
         window = np.zeros(SV_CONDS.m + 1)
-        f = sample_moments(window, BETA, SV_CONDS)
+        f = mean_moments(window, BETA, SV_CONDS)
         assert_allclose(f[0], -0.05, rtol=1e-12)
 
     def test_sv_zero_at_matching_square(self):
         window = np.full(SV_CONDS.m + 1, np.sqrt(0.05))
-        f = sample_moments(window, BETA, SV_CONDS)
+        f = mean_moments(window, BETA, SV_CONDS)
         assert_allclose(f[0], 0.0, atol=1e-15)
 
     def test_window_length_enforced(self):
         with pytest.raises(DataError):
-            sample_moments(np.zeros(4), BETA, SUPOU_CONDS)
+            mean_moments(np.zeros(4), BETA, SUPOU_CONDS)
 
     @pytest.mark.parametrize(
         "conds,kind",
@@ -132,7 +149,7 @@ class TestMomentFunctions:
             q = quadrature_moments(beta, kind, conds.delta, lags=conds.lags)
             expected = [q.mean, q.var + q.mean**2]
             expected += [q.mean**2 + q.acov[float(h)] for h in conds.lags]
-            assert_allclose(_moment_targets(beta, conds), expected, rtol=1e-10)
+            assert_allclose(targets(beta, conds), expected, rtol=1e-10)
 
 
 # the criterion-1 grid, plus alpha_pi at and around the removable
@@ -156,7 +173,7 @@ class TestMomentJacobian:
         for alpha in JACOBIAN_ALPHAS:
             for B in JACOBIAN_BS:
                 beta = ParamVector(0.015, 0.003, alpha, float(B))
-                target = _moment_targets(beta, conds)
+                target = targets(beta, conds)
                 slopes = beta.sigma2 * _model_columns(alpha, float(B), conds)[1][:, 3:]
                 assert np.all(np.isfinite(slopes)), (alpha, B)
                 shape = np.log([alpha - 1.0, -B])
@@ -219,7 +236,7 @@ def random_profiles(base, conds, rng, n=15):
         A = rng.standard_normal((conds.d, conds.d))
         W = (A @ A.T + conds.d * np.eye(conds.d)) / np.outer(base, base)
         theta = np.log([rng.uniform(0.5, 5.0), rng.uniform(0.03, 0.3)])
-        evaluate, fn, _ = _profile(base, W, conds)
+        evaluate, fn, _ = _profile(base, W, shape_model(conds))
         beta, r, J, on_face = evaluate(theta)
         assert beta is not None and not on_face, theta
         yield W, theta, beta, r, J, fn
@@ -270,7 +287,7 @@ class TestProfile:
         rng = np.random.default_rng(3)
         for W in [np.eye(6)] + [A @ A.T + np.eye(6) for A in rng.standard_normal((4, 6, 6))]:
             for theta in np.log([[3.0, 0.1], [0.95, 0.1], [0.5, 1.0], [5.0, 0.01]]):
-                evaluate, fn, _ = _profile(base, W, SUPOU_CONDS)
+                evaluate, fn, _ = _profile(base, W, shape_model(SUPOU_CONDS))
                 beta, r, _, on_face = evaluate(theta)
                 assert np.all(np.isfinite(r))
                 k, columns = _model_columns(beta.alpha_pi, beta.B, SUPOU_CONDS)
@@ -288,7 +305,7 @@ class TestProfile:
         # there J'r is still the gradient of the profiled criterion
         A = np.random.default_rng(5).standard_normal((6, 6))
         evaluate, fn, _ = _profile(np.array([-1.0, 2.0, 1.0, 1.0, 1.0, 1.0]),
-                                   A @ A.T + np.eye(6), SUPOU_CONDS)
+                                   A @ A.T + np.eye(6), shape_model(SUPOU_CONDS))
         step = 1e-4
         for theta in np.log([[3.0, 0.1], [0.95, 0.1], [0.5, 1.0], [5.0, 0.01]]):
             beta, r, J, on_face = evaluate(theta)
@@ -306,7 +323,7 @@ class TestProfile:
         # no sigma2 > 0 fits at any shape: the fit is on the face sigma2 = 0,
         # where the targets and so the criterion do not depend on the shape
         evaluate, fn, jac = _profile(np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5]), np.eye(6),
-                                     SUPOU_CONDS)
+                                     shape_model(SUPOU_CONDS))
         beta, r, J, on_face = evaluate(np.log([3.0, 0.1]))
         assert on_face and beta.sigma2 == sys.float_info.min
         assert np.all(np.abs(J) <= 1e-300)
@@ -319,8 +336,8 @@ class TestProfile:
         base = np.array([1.05, 1.09, 1.03, 1.0, 1.01, 1.04])
         W2 = np.diag([4.5, 0.4, 0.05, 5.9, 1.2, 0.2])
         theta = np.log([3.0, 0.1])
-        assert not _profile(base, np.eye(6), SUPOU_CONDS)[0](theta)[3]
-        evaluate, *fit = _profile(base, W2, SUPOU_CONDS)
+        assert not _profile(base, np.eye(6), shape_model(SUPOU_CONDS))[0](theta)[3]
+        evaluate, *fit = _profile(base, W2, shape_model(SUPOU_CONDS))
         assert evaluate(theta)[3]
         theta2, _ = minimize(*fit, theta, theta)
         beta, r, _, on_face = evaluate(theta2)
@@ -330,29 +347,29 @@ class TestProfile:
 class TestSampleMoments:
     def test_matches_window_average(self):
         x = simulated_supou(seed=7, n_obs=400)
-        g = sample_moments(x, BETA, SUPOU_CONDS)
+        g = mean_moments(x, BETA, SUPOU_CONDS)
         m = SUPOU_CONDS.m
         products = [
             [w[0], w[0] ** 2] + [w[0] * w[h] for h in SUPOU_CONDS.lags]
             for w in (x[i:i + m + 1] for i in range(len(x) - m))
         ]
-        explicit = np.mean(products, axis=0) - _moment_targets(BETA, SUPOU_CONDS)
+        explicit = np.mean(products, axis=0) - targets(BETA, SUPOU_CONDS)
         assert_allclose(g, explicit, rtol=1e-10, atol=1e-14)
 
     def test_single_window(self):
         x = np.arange(6.0) / 10.0 + 0.01
-        g = sample_moments(x, BETA, SUPOU_CONDS)
+        g = mean_moments(x, BETA, SUPOU_CONDS)
         products = [x[0], x[0] ** 2, x[0] * x[1], x[0] * x[2], x[0] * x[4], x[0] * x[5]]
-        assert_allclose(g, np.subtract(products, _moment_targets(BETA, SUPOU_CONDS)),
+        assert_allclose(g, np.subtract(products, targets(BETA, SUPOU_CONDS)),
                         rtol=1e-12)
 
     def test_small_at_truth_on_simulated_path(self):
-        g = sample_moments(simulated_supou(), BETA, SUPOU_CONDS)
+        g = mean_moments(simulated_supou(), BETA, SUPOU_CONDS)
         assert np.abs(g).max() < 5e-3
 
     def test_insufficient_data(self):
         with pytest.raises(DataError):
-            sample_moments(np.ones(5), BETA, SUPOU_CONDS)
+            mean_moments(np.ones(5), BETA, SUPOU_CONDS)
 
 
 def sv_returns(n_obs, seed=3):
@@ -375,7 +392,7 @@ def one_matrix_sums(x, beta, conditions):
     F = window_matrix(x, conditions)
     b = F.mean(axis=0)
     F_centred = F - b
-    deviation = b - _moment_targets(beta, conditions)
+    deviation = b - targets(beta, conditions)
     return b, (F_centred.T @ F_centred) / F.shape[0] + np.outer(deviation, deviation)
 
 
@@ -397,8 +414,8 @@ class TestWindowBlocks:
         if conditions.kind is ModelKind.SUPOU:
             x = x + 0.05
         means, S = one_matrix_sums(x, BETA, conditions)
-        assert_array_equal(sample_moments(x, BETA, conditions),
-                           means - _moment_targets(BETA, conditions))
+        assert_array_equal(mean_moments(x, BETA, conditions),
+                           means - targets(BETA, conditions))
         assert_array_equal(estimate_weighting(x, BETA, conditions),
                            weighting_from(S, conditions.d))
 
@@ -409,7 +426,7 @@ class TestWindowBlocks:
         res = two_step_gmm(x, ModelKind.SV)
         means, S = one_matrix_sums(x, res.step1_estimate, SV_CONDS)
         assert_allclose(gmm._window_moments(x * x, SV_CONDS).mean, means, rtol=1e-12)
-        g2 = means - _moment_targets(res.step2_estimate, SV_CONDS)
+        g2 = means - targets(res.step2_estimate, SV_CONDS)
         W = weighting_from(S, SV_CONDS.d)
         assert_allclose(res.step2_objective, float(g2 @ W @ g2), rtol=1e-10)
 
@@ -426,7 +443,7 @@ class TestWindowBlocks:
         if conditions.kind is ModelKind.SUPOU:
             x = x + 0.05
         W = estimate_weighting(x, BETA, conditions)
-        F_centred = window_matrix(x, conditions) - _moment_targets(BETA, conditions)
+        F_centred = window_matrix(x, conditions) - targets(BETA, conditions)
         direct = weighting_from(F_centred.T @ F_centred / F_centred.shape[0], conditions.d)
         assert np.abs(W - direct).max() <= 1e-13 * np.abs(direct).max()
         z = gmm._estimation_series(x, conditions.kind)
@@ -449,7 +466,7 @@ class TestWindowBlocks:
 class TestObjective:
     def test_zero_and_identity(self):
         x = simulated_supou(seed=3, n_obs=200)
-        g = sample_moments(x, BETA, SUPOU_CONDS)
+        g = mean_moments(x, BETA, SUPOU_CONDS)
         value = objective(x, BETA, np.eye(6), SUPOU_CONDS)
         assert_allclose(value, float(g @ g), rtol=1e-14)
         assert value >= 0.0
@@ -486,7 +503,7 @@ class TestEstimateWeighting:
         n = len(x) - m
         lead = x[:n]
         cols = [lead, lead**2] + [lead * x[h:h + n] for h in SUPOU_CONDS.lags]
-        F = np.column_stack(cols) - _moment_targets(BETA, SUPOU_CONDS)
+        F = np.column_stack(cols) - targets(BETA, SUPOU_CONDS)
         S = F.T @ F / n
         S += 1e-10 * np.trace(S) / 6 * np.eye(6)
         assert np.abs(S @ W - np.eye(6)).max() < 1e-8
@@ -497,7 +514,7 @@ class TestEstimateWeighting:
         monkeypatch.setattr(gmm, "_RIDGE_SCALE", 1e-6)
         x = np.full(50, 0.05)
         W = estimate_weighting(x, BETA, SUPOU_CONDS)
-        f = sample_moments(x, BETA, SUPOU_CONDS)
+        f = mean_moments(x, BETA, SUPOU_CONDS)
         S = np.outer(f, f) + 1e-6 * (f @ f) / 6 * np.eye(6)
         assert_allclose(np.linalg.inv(S), W, rtol=1e-6)
 
@@ -683,19 +700,20 @@ class TestTwoStepGmm:
         assert a.step1_objective == b.step1_objective
         # the reported criteria are the public objective at the estimates
         assert a.step1_objective == objective(x, a.step1_estimate, np.eye(6), a.conditions)
-        assert a.step2_objective == objective(x, a.step2_estimate, a.weighting, a.conditions)
+        W = estimate_weighting(x, a.step1_estimate, a.conditions)
+        assert a.step2_objective == objective(x, a.step2_estimate, W, a.conditions)
 
     def test_weighting_scale_leaves_argmin(self):
         # scaling W leaves the minimizing shape unchanged on a fixed fixture
         x = simulated_supou(seed=17, n_obs=3000)
         res = two_step_gmm(x, ModelKind.SUPOU)
-        W = res.weighting
+        W = estimate_weighting(x, res.step1_estimate, res.conditions)
         from supou.gmm import _estimation_series
 
         base = gmm._window_moments(_estimation_series(x, ModelKind.SUPOU), SUPOU_CONDS).mean
         theta0 = np.log([res.step1_estimate.alpha_pi - 1.0, -res.step1_estimate.B])
         for lam in (1.0, 7.0):
-            _, *fit = _profile(base, lam * W, SUPOU_CONDS)
+            _, *fit = _profile(base, lam * W, shape_model(SUPOU_CONDS))
             theta, stop = minimize(*fit, theta0, theta0)
             assert theta.shape == (2,) and stop == "converged"
             if lam == 1.0:
@@ -706,36 +724,47 @@ class TestTwoStepGmm:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_one_model_evaluation_per_theta(self, kind, monkeypatch):
         # trf asks for the Jacobian at the theta of its last residuals, and
-        # that call reuses their evaluation: within a fit no shape is
-        # evaluated twice
+        # that call reuses their evaluation; step 2 starts at the step-1 shape
+        # and the objectives are at both estimates, which reuse theirs too.
+        # Counted where the benchmark counts evaluations, no shape reaches the
+        # moments twice in a call, but for `estimate_weighting`'s public
+        # recomputation at the step-1 estimate.
         x = simulate_path(kind, LevySpec(0.1, 3.0, 20.0), PiSpec.from_params(BETA),
                           ObservationSchedule(1.0, 3000), SimulationConfig(seed=11)).values
-        calls, per_fit, jac_calls = [], [], []
-        model, fit = gmm._model_columns, gmm.minimize
+        shapes, weighed, starts, jac_calls = [], [], [], []
+        weighting, fit = gmm.estimate_weighting, gmm.minimize
 
-        def counted_model(alpha, B, conditions):
-            calls.append((alpha, B))
-            return model(alpha, B, conditions)
+        def counted(mean):
+            def counted_mean(unit, *args):
+                shapes.append((unit.alpha_pi, unit.B))
+                return mean(unit, *args)
+            return counted_mean
 
-        def counted_fit(residuals, jac, theta0, center):
-            first = len(calls)
-
-            def counted_jac(theta):
-                before = len(calls)
-                result = jac(theta)
-                jac_calls.append(len(calls) - before)  # model evaluations in this call
-                return result
-
-            result = fit(residuals, counted_jac, theta0, center)
-            per_fit.append(calls[first:])
+        def counted_weighting(data, beta1, conditions):
+            before = len(shapes)
+            result = weighting(data, beta1, conditions)
+            weighed.extend(shapes[before:])
+            del shapes[before:]
             return result
 
-        monkeypatch.setattr(gmm, "_model_columns", counted_model)
+        def counted_fit(residuals, jac, theta0, center):
+            def counted_jac(theta):
+                before = len(shapes)
+                result = jac(theta)
+                jac_calls.append(len(shapes) - before)  # model evaluations in this call
+                return result
+
+            starts.append(theta0)
+            return fit(residuals, counted_jac, theta0, center)
+
+        monkeypatch.setattr(gmm, "supou_mean", counted(gmm.supou_mean))
+        monkeypatch.setattr(gmm, "intsupou_mean", counted(gmm.intsupou_mean))
+        monkeypatch.setattr(gmm, "estimate_weighting", counted_weighting)
         monkeypatch.setattr(gmm, "minimize", counted_fit)
-        two_step_gmm(demean(x) if kind is ModelKind.SV else x, kind)
-        assert len(per_fit) == 2 and len(jac_calls) >= 2 and not any(jac_calls)
-        for shapes in per_fit:
-            assert shapes and len(set(shapes)) == len(shapes)
+        res = two_step_gmm(demean(x) if kind is ModelKind.SV else x, kind)
+        assert len(starts) == 2 and len(jac_calls) >= 2 and not any(jac_calls)
+        assert weighed == [(res.step1_estimate.alpha_pi, res.step1_estimate.B)]
+        assert shapes and len(set(shapes)) == len(shapes)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_one_pass_over_the_data(self, kind, monkeypatch):

@@ -1,5 +1,6 @@
 """The package's public surface: one list of names, kept in the submodules."""
 
+import dataclasses
 import inspect
 
 import supou
@@ -16,6 +17,7 @@ REMOVED = (
     "series_summary",
     "levy_moments",
     "has_long_memory",
+    "sample_moments",
 )
 
 # parameters that only tests set, removed from the program
@@ -42,6 +44,7 @@ def test_removed_names_are_gone():
         assert not hasattr(supou, name)
     assert not hasattr(supou.PathSample, "write_csv")
     assert not hasattr(supou.ParamVector, "from_array")
+    assert "weighting" not in {f.name for f in dataclasses.fields(supou.GmmResult)}
     assert not hasattr(simulate, "JumpSampler")
     assert not hasattr(simulate.JumpStream, "truncated")
     for fn, parameter in REMOVED_PARAMETERS:
