@@ -1,6 +1,7 @@
 """Command-line surface: simulate, estimate, study and fit subcommands.
 
-Exit codes: 0 success, 2 usage or input error, 3 estimation non-convergence
+Exit codes: 0 success, 2 usage or input error (an --out-dir at or below a
+file included, found before any input is read), 3 estimation non-convergence
 or an estimator that cannot run on the data (no dispersion, or a singular
 moment covariance), in which case nothing is written; a study names the
 seed of the path that failed.  `main` alone maps the package's errors to
@@ -319,7 +320,7 @@ def _blocks(path: str) -> Iterator[bytes]:
 def _read_blocks(path: str) -> Optional[_Series]:
     """Bulk parse of plain `value` or `date,value` rows; None for anything else.
 
-    Plain means: no quote or bare CR; no blank or whitespace-only row;
+    Plain means: no quote; no blank or whitespace-only row;
     a header, if any, only on line 1; the same column count on every row;
     every value finite.  Each block of `_blocks` is checked and parsed on
     its own, as bytes: one split at its commas and line endings gives the
@@ -331,9 +332,10 @@ def _read_blocks(path: str) -> Optional[_Series]:
     n_commas = None
     with closing(_blocks(path)) as blocks:
         for index, block in enumerate(blocks):
-            # quotes are csv's to undo, and a bare CR splits a line
-            if b'"' in block or (b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
+            if b'"' in block:  # quotes are csv's to undo
                 return None
+            if b"\r" in block:  # CRLF, then a bare CR, ends a line, as for csv
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             if not block.endswith(b"\n"):  # the file's last line
                 block += b"\n"
             if index == 0:
@@ -344,8 +346,6 @@ def _read_blocks(path: str) -> Optional[_Series]:
                     float(line_1.rpartition(b",")[2].decode("utf-8"))
                 except ValueError:
                     block = block[len(line_1) + 1:]
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n")
             if not block:
                 continue  # a first block of only a header
             if n_commas is None:
@@ -706,6 +706,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--annualize-factor", type=float, default=None)
 
 
+@cache  # built once per process: building takes about 1 ms, parsing much less
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supou",
@@ -752,16 +753,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: building takes about 1 ms, parsing much less
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # before any input is read: the nearest existing path at or above
+        # --out-dir (a dangling link included) must be a directory
+        existing = os.path.abspath(args.out_dir)
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise DomainError(f"--out-dir {args.out_dir}: {existing} is not a directory")
         return args.func(args)
     except (DomainError, DataError, InitializationError, SingularWeightingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line exits 2 on a ValueError among them (bad input) and 3 on
+InitializationError or SingularWeightingError (data that the estimator cannot
+fit).  QuadratureError comes only from the oracle `quadrature_moments`.
+"""
 
 __all__ = [
     "DomainError",
     "ParameterError",
     "DataError",
-    "WeightingMatrixError",
     "SingularWeightingError",
     "InitializationError",
     "QuadratureError",
@@ -12,7 +16,8 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """An argument lies outside its mathematical domain (e.g. a negative lag)."""
+    """An argument lies outside its mathematical domain (e.g. a negative lag, or a
+    weighting matrix that is not symmetric positive definite)."""
 
 
 class ParameterError(DomainError):
@@ -21,10 +26,6 @@ class ParameterError(DomainError):
 
 class DataError(ValueError):
     """Input data is missing, malformed, or too short for the requested operation."""
-
-
-class WeightingMatrixError(ValueError):
-    """A weighting matrix is not symmetric positive definite."""
 
 
 class SingularWeightingError(RuntimeError):

@@ -16,9 +16,10 @@ inside a fixed box around the start shape, and `_profile` gives the best
 m > 0 and sigma2 > 0 at each shape in closed form (variable projection).
 `_model_columns` evaluates e_0, c, w and the shape slopes of w, in closed
 form from the unit moments and slopes of `moments`.  Each `two_step_gmm` call
-keeps its own memo of it, so both steps and the two reported objectives
-evaluate each shape once; only `estimate_weighting`, which takes the
-conditions, evaluates the step-1 shape again.
+keeps its own memo of it, so the check of the start shape (DomainError where
+the moment formulas cannot be evaluated), both steps and the two reported
+objectives evaluate each shape once; only `estimate_weighting`, which takes
+the conditions, evaluates the step-1 shape again.
 
 An estimate passes over the data once.  `_window_moments` forms the N-m
 window products one block of _WINDOW_BLOCK windows at a time in one reused
@@ -48,7 +49,6 @@ from .errors import (
     InitializationError,
     ParameterError,
     SingularWeightingError,
-    WeightingMatrixError,
 )
 # supou_var, supou_acov, intsupou_var, _int_var_unit, _int_acov_units: unused, kept for
 # the benchmark's tracer
@@ -75,7 +75,6 @@ __all__ = [
     "untransform",
     "minimize",
     "closed_form_init",
-    "initial_estimate",
     "two_step_gmm",
 ]
 
@@ -295,18 +294,18 @@ def _window_moments(z: np.ndarray, conditions: MomentConditionSet) -> _WindowMom
 def _require_pd(W, d: int) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if W.shape != (d, d):
-        raise WeightingMatrixError(f"weighting must be {d}x{d}, got {W.shape}")
+        raise DomainError(f"weighting must be {d}x{d}, got {W.shape}")
     if not np.allclose(W, W.T, rtol=1e-9, atol=0.0):
-        raise WeightingMatrixError("weighting matrix must be symmetric")
+        raise DomainError("weighting matrix must be symmetric")
     try:
         np.linalg.cholesky(0.5 * (W + W.T))
     except np.linalg.LinAlgError as exc:
-        raise WeightingMatrixError("weighting matrix must be positive definite") from exc
+        raise DomainError("weighting matrix must be positive definite") from exc
     return W
 
 
 def objective(data, beta: ParamVector, W, conditions: MomentConditionSet) -> float:
-    """GMM criterion g' W g for positive definite W.
+    """GMM criterion g' W g for positive definite W; DomainError for any other W.
 
     g is the sample moments: the moment function averaged over all N-m
     sliding windows, which on a window of exactly m+1 observations is the
@@ -480,21 +479,22 @@ def _require_dispersion(mean: float, var: float) -> None:
 
 
 def _cold_shape(conditions: MomentConditionSet) -> Tuple[float, float]:
-    """The default start shape (alpha_pi, B) = (4, -0.1/delta).
+    """The default start shape (alpha_pi, B) = (4, -0.1/delta)."""
+    return 4.0, -0.1 / conditions.delta
 
-    Raises DomainError naming delta when the moment formulas cannot be
-    evaluated there.
-    """
-    alpha, B = 4.0, -0.1 / conditions.delta
+
+def _check_start(model: Callable, alpha: float, B: float, delta: float) -> None:
+    """Evaluate model(alpha_pi, B) at a start shape, or raise DomainError
+    naming the shape and delta when the moment formulas cannot be evaluated
+    there."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            k, columns = _model_columns(alpha, B, conditions)
+            k, columns = model(alpha, B)
         if not (math.isfinite(k) and np.all(np.isfinite(columns))):
             raise DomainError("non-finite moments")
     except (ArithmeticError, DomainError) as exc:
-        raise DomainError(f"delta={conditions.delta} is out of range: the moment formulas "
-                          f"cannot be evaluated at the start B = -0.1/delta") from exc
-    return alpha, B
+        raise DomainError(f"delta={delta} is out of range at the start alpha_pi={alpha!r}, "
+                          f"B={B!r}: the moment formulas cannot be evaluated there") from exc
 
 
 def initial_estimate(data, conditions: MomentConditionSet) -> ParamVector:
@@ -517,7 +517,9 @@ def initial_estimate(data, conditions: MomentConditionSet) -> ParamVector:
         base = closed_form_init(mean, var, sample_acf(z, 1), sample_acf(z, 2), h, 2.0 * h)
         return _rescale_for_kind(base.alpha_pi, base.B, mean, var, conditions)
     except (InitializationError, ParameterError, DataError):
-        return _rescale_for_kind(*_cold_shape(conditions), mean, var, conditions)
+        alpha, B = _cold_shape(conditions)
+        _check_start(partial(_model_columns, conditions=conditions), alpha, B, conditions.delta)
+        return _rescale_for_kind(alpha, B, mean, var, conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -580,35 +582,35 @@ def _profile(base: np.ndarray, W: np.ndarray,
     """
     Lt = np.linalg.cholesky(W).T
     least = sys.float_info.min
-    evaluated: Dict[bytes, tuple] = {}  # (estimate or None, residuals, Jacobian, on a face)
 
-    def evaluate(theta: np.ndarray) -> Tuple[Optional[ParamVector], np.ndarray,
-                                             np.ndarray, bool]:
-        key = theta.tobytes()
-        if key not in evaluated:
-            try:
-                alpha, B = 1.0 + math.exp(theta[0]), -math.exp(theta[1])
-                k, columns = model(alpha, B)
-                # p, q, s, v and the two slopes of v; in Xv, v is projected out
-                X = Lt @ np.concatenate((base[:, None], columns), axis=1)
-                G = X.T @ X
-                Xv = X - X[:, 3:4] * (G[3] * (1.0 / G[3, 3]))
-                G, Gv = G.tolist(), (Xv.T @ Xv).tolist()
-                vp, vq, vs, vv = G[3][:4]
-                # each m fits with the best sigma2 >= 0 at it: v'(p - m q - m^2 s) / v'v
-                m = min(_stationary_means(Gv) + _stationary_means(G) + [least],
-                        key=lambda m: _mean_fit(Gv if vp - m * (vq + m * vs) > 0.0 else G, m))
-                sigma2 = max((vp - m * (vq + m * vs)) / vv, least)
-                # y = q + 2 m s, the slope of the residuals in m, and the slopes of
-                # v on it, with v projected out
-                yy = Gv[1][1] + 4.0 * m * (Gv[1][2] + m * Gv[2][2])
-                c = [(Gv[1][j] + 2.0 * m * Gv[2][j]) / yy if m > least else 0.0 for j in (4, 5)]
-                J = sigma2 * (np.outer(Xv[:, 1] + 2.0 * m * Xv[:, 2], c) - Xv[:, 4:])
-                evaluated[key] = (ParamVector(m / k, sigma2, alpha, B),
-                                  X[:, :4] @ (1.0, -m, -m * m, -sigma2), J, least in (m, sigma2))
-            except (ParameterError, DomainError, OverflowError, ZeroDivisionError):
-                evaluated[key] = (None, np.full(base.size, np.inf), None, False)
-        return evaluated[key]
+    @cache  # by theta's bytes, for as long as this fit
+    def at(key: bytes) -> Tuple[Optional[ParamVector], np.ndarray, Optional[np.ndarray], bool]:
+        theta = np.frombuffer(key)
+        try:
+            alpha, B = 1.0 + math.exp(theta[0]), -math.exp(theta[1])
+            k, columns = model(alpha, B)
+            # p, q, s, v and the two slopes of v; in Xv, v is projected out
+            X = Lt @ np.concatenate((base[:, None], columns), axis=1)
+            G = X.T @ X
+            Xv = X - X[:, 3:4] * (G[3] * (1.0 / G[3, 3]))
+            G, Gv = G.tolist(), (Xv.T @ Xv).tolist()
+            vp, vq, vs, vv = G[3][:4]
+            # each m fits with the best sigma2 >= 0 at it: v'(p - m q - m^2 s) / v'v
+            m = min(_stationary_means(Gv) + _stationary_means(G) + [least],
+                    key=lambda m: _mean_fit(Gv if vp - m * (vq + m * vs) > 0.0 else G, m))
+            sigma2 = max((vp - m * (vq + m * vs)) / vv, least)
+            # y = q + 2 m s, the slope of the residuals in m, and the slopes of
+            # v on it, with v projected out
+            yy = Gv[1][1] + 4.0 * m * (Gv[1][2] + m * Gv[2][2])
+            c = [(Gv[1][j] + 2.0 * m * Gv[2][j]) / yy if m > least else 0.0 for j in (4, 5)]
+            J = sigma2 * (np.outer(Xv[:, 1] + 2.0 * m * Xv[:, 2], c) - Xv[:, 4:])
+            return (ParamVector(m / k, sigma2, alpha, B),
+                    X[:, :4] @ (1.0, -m, -m * m, -sigma2), J, least in (m, sigma2))
+        except (ParameterError, DomainError, OverflowError, ZeroDivisionError):
+            return None, np.full(base.size, np.inf), None, False
+
+    def evaluate(theta: np.ndarray) -> tuple:
+        return at(theta.tobytes())
 
     return evaluate, lambda theta: evaluate(theta)[1], lambda theta: evaluate(theta)[2]
 
@@ -647,10 +649,13 @@ def two_step_gmm(
         _require_dispersion(base[0], summary.cov[0, 0])
     alpha, B = _cold_shape(conditions) if start is None else (start.alpha_pi, start.B)
     center = np.log([alpha - 1.0, -B])
-    # this call's evaluations of each shape: step 2 starts at the step-1
-    # shape, and the objectives are at both estimates.  Kept no longer, so
-    # another fit evaluates its shapes afresh.
+    # this call's evaluations of each shape: step 1 starts at the checked
+    # start, step 2 at the step-1 shape, and the objectives are at both
+    # estimates.  Kept no longer, so another fit evaluates its shapes afresh.
     model = cache(partial(_model_columns, conditions=conditions))
+    # the shape of `center` as `_profile` forms it, which may differ from
+    # (alpha, B) by an ulp
+    _check_start(model, 1.0 + math.exp(center[0]), -math.exp(center[1]), conditions.delta)
 
     def fit(W: np.ndarray, theta0: np.ndarray) -> Tuple[np.ndarray, ParamVector, str]:
         evaluate, residuals, jac = _profile(base, W, model)

@@ -59,7 +59,6 @@ __all__ = [
     "sv_sqret_var",
     "sv_sqret_acov",
     "MomentSet",
-    "gamma_mix_integral",
     "quadrature_moments",
 ]
 
@@ -233,7 +232,7 @@ class MomentSet:
     acov: Dict[float, float]
 
 
-def gamma_mix_integral(kernel: Callable[[float], float], alpha_pi: float, B: float) -> float:
+def _gamma_mix_integral(kernel: Callable[[float], float], alpha_pi: float, B: float) -> float:
     """Integrate kernel(A) against the mirrored-Gamma law of A = B*R.
 
     Evaluates integral_0^inf kernel(B r) r^(alpha-1) e^(-r) / Gamma(alpha) dr
@@ -297,7 +296,7 @@ def quadrature_moments(
     a, B = beta.alpha_pi, beta.B
 
     def mix(kernel: Callable[[float], float]) -> float:
-        return gamma_mix_integral(kernel, a, B)
+        return _gamma_mix_integral(kernel, a, B)
 
     if kind is ModelKind.SUPOU:
         mean = -beta.mu * mix(lambda x: 1.0 / x)

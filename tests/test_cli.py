@@ -390,6 +390,35 @@ class TestFailedCommandWritesNothing:
         assert not out.exists()
 
 
+class TestOutDirIsAFile:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n-obs", 10], ["estimate", "--input", "DATA"],
+        ["study", "--n-obs", 10, "--n-paths", 1], ["fit", "--returns", "--input", "DATA"],
+    ], ids=["simulate", "estimate", "study", "fit"])
+    def test_exit_2_names_it_before_any_work(self, tmp_path, capsys, monkeypatch, argv, below):
+        # no input is read and no path simulated: both calls are recorded
+        calls = []
+        monkeypatch.setattr("supou.cli.read_series", lambda *a: calls.append(a))
+        monkeypatch.setattr("supou.cli.simulate_path", lambda *a: calls.append(a))
+        data = tmp_path / "series.csv"
+        data.write_text("0.5\n0.25\n0.75\n")
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept\n")
+        out = blocker / "sub" if below else blocker
+        assert run([data if arg == "DATA" else arg for arg in argv] + ["--out-dir", out]) == 2
+        assert f"--out-dir {out}: {blocker} is not a directory" in capsys.readouterr().err
+        assert not calls
+        assert blocker.read_bytes() == b"kept\n"
+
+    def test_a_dangling_link_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "nowhere" / "x")
+        assert run(["simulate", "--n-obs", 10, "--out-dir", out]) == 2
+        assert f"--out-dir {out}: {out} is not a directory" in capsys.readouterr().err
+        assert out.is_symlink() and not (tmp_path / "nowhere").exists()
+
+
 class TestExtremeDelta:
     # the cold start puts B at -0.1/delta, where B**3 overflows or underflows
     # (integrated, SV) or the lags times delta overflow (supOU)
@@ -643,7 +672,7 @@ def series_texts(draw):
             lines.insert(spot, draw(st.sampled_from(["", "  ", " , ", "date,value"])))
     if draw(st.booleans()):
         lines.insert(0, draw(st.sampled_from(["date,value", "value", "t,value,extra"])))
-    endings = ["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"]
+    endings = ["\n", "\r\n", "\r"]
     if draw(st.booleans()):
         ending = draw(st.sampled_from(endings))
         text = ending.join(lines)
@@ -684,16 +713,18 @@ class TestReadSeries:
 
     @pytest.mark.parametrize("text", [
         "1.5\n2.5\n", "value\r\n1.5\r\n2.5\r\n", "date,value\n2020-01-01,1.5\n2020-01-02,-2",
-        "a,1\nb, 2 \n", "7\n", "1_000\n",
+        "a,1\nb, 2 \n", "7\n", "1_000\n", "1.5\r2.5\r",
         pytest.param(NUL_IN_DATE, id="nul-in-date"),
     ])
     def test_plain_shapes_take_the_bulk_path(self, tmp_path, text):
         path = tmp_path / "series.csv"
         path.write_bytes(text.encode())
         assert _read_blocks(str(path)) is not None
+        assert read_outcome(lambda: _read_blocks(str(path))) == read_outcome(
+            lambda: _read_rows(str(path)))
 
     @pytest.mark.parametrize("text", [
-        '"2020-01-01",1.5\n', "1.5\r2.5\r", "1.5\n\n2.5\n", "1.5\n  \n2.5\n", "a,1\n2\n",
+        '"2020-01-01",1.5\n', "1.5\n\n2.5\n", "1.5\n  \n2.5\n", "a,1\n2\n",
         "1,2,3\n", "1.5\nnan\n", "1.5\nvalue\n", "", "value\n",
     ])
     def test_other_shapes_go_to_the_line_loop(self, tmp_path, text):

@@ -1,5 +1,6 @@
 """Moment functions, weighting, the minimizer, the initializer and the two-step procedure."""
 
+import math
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -24,12 +25,10 @@ from supou import (
     PiSpec,
     SimulationConfig,
     SingularWeightingError,
-    WeightingMatrixError,
     closed_form_init,
     default_conditions,
     demean,
     estimate_weighting,
-    initial_estimate,
     minimize,
     objective,
     quadrature_moments,
@@ -42,7 +41,9 @@ from supou import (
     untransform,
 )
 from supou import gmm
-from supou.gmm import PARAMETER_BOX, _WINDOW_BLOCK, _model_columns, _moment_targets, _profile
+from supou.gmm import (
+    PARAMETER_BOX, _WINDOW_BLOCK, _model_columns, _moment_targets, _profile, initial_estimate,
+)
 from supou.moments import (
     _int_unit_slopes,
     _supou_unit_slopes,
@@ -479,11 +480,11 @@ class TestObjective:
 
     def test_non_pd_rejected(self):
         x = simulated_supou(seed=3, n_obs=200)
-        with pytest.raises(WeightingMatrixError):
+        with pytest.raises(DomainError, match="positive definite"):
             objective(x, BETA, -np.eye(6), SUPOU_CONDS)
         asym = np.eye(6)
         asym[0, 1] = 0.5
-        with pytest.raises(WeightingMatrixError):
+        with pytest.raises(DomainError, match="symmetric"):
             objective(x, BETA, asym, SUPOU_CONDS)
 
 
@@ -765,6 +766,9 @@ class TestTwoStepGmm:
         assert len(starts) == 2 and len(jac_calls) >= 2 and not any(jac_calls)
         assert weighed == [(res.step1_estimate.alpha_pi, res.step1_estimate.B)]
         assert shapes and len(set(shapes)) == len(shapes)
+        # the start is checked at the shape that step 1 evaluates first, not
+        # at the cold-start shape an ulp away from it
+        assert shapes[0] == (1.0 + math.exp(starts[0][0]), -math.exp(starts[0][1]))
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_one_pass_over_the_data(self, kind, monkeypatch):
@@ -786,6 +790,14 @@ class TestTwoStepGmm:
     def test_insufficient_data(self):
         with pytest.raises(DataError):
             two_step_gmm(np.ones(4), ModelKind.SUPOU)
+
+    def test_a_start_the_formulas_cannot_evaluate_is_a_domain_error(self):
+        # the lags times delta overflow, whatever the shape
+        x = simulated_supou(seed=3, n_obs=200)
+        conditions = default_conditions(ModelKind.SUPOU, delta=1e308)
+        with pytest.raises(DomainError, match=r"^delta=1e\+308 is out of range at the start "
+                                              r"alpha_pi=4\.0\d*, B=-0\.10*\d*: "):
+            two_step_gmm(x, ModelKind.SUPOU, conditions=conditions, start=BETA)
 
     def test_constant_data_raises_initialization(self):
         with pytest.raises(InitializationError):

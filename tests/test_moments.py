@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import IntegrationWarning
 
 from supou import (
     DomainError,
     ModelKind,
     ParameterError,
     ParamVector,
+    QuadratureError,
     annualize,
     intsupou_acov,
     intsupou_mean,
@@ -27,6 +29,7 @@ from supou import (
     sv_sqret_mean,
     sv_sqret_var,
 )
+from supou.moments import _gamma_mix_integral
 
 BETA_SHORT = ParamVector(0.015, 0.003, 4.0, -0.1)
 BETA_LONG = ParamVector(0.015, 0.003, 1.95, -0.1)
@@ -305,6 +308,11 @@ class TestQuadratureOracle:
         assert_allclose(oracle.var, intsupou_var(beta, 1.0), rtol=1e-9)
         for h, value in oracle.acov.items():
             assert_allclose(value, intsupou_acov(beta, 1.0, h), rtol=1e-9)
+
+    def test_a_nan_kernel_is_a_quadrature_error(self):
+        # scipy warns that the integrand is not finite, and no tolerance can be met
+        with pytest.warns(IntegrationWarning), pytest.raises(QuadratureError, match="nan"):
+            _gamma_mix_integral(lambda x: math.nan, 4.0, -0.1)
 
 
 class TestParamVector:
