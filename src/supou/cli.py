@@ -12,11 +12,12 @@ written as it is drawn, the directory with the first), so a command that
 fails leaves none.
 All file outputs are UTF-8. Every CSV goes through `_write_csv`, which
 writes, as bytes, what the csv module's default writer would: CRLF line
-endings, minimal quoting (date cells through `_csv_quoted`).  The column
-decides the cell: dates as read; floats as `%.17g`, at full float64
-precision, so reruns with the same seed are byte-identical; everything else
-as `%d`.  Every float goes through `_g17`, which formats a table of any
-size in one numpy pass, with `%` only for the values outside 1e-4 <= |v| < 1.
+endings and minimal quoting.  One rule, the dtype of a column's first cell,
+decides its cells: dates as read, quoted as csv quotes them; floats as
+`%.17g`, at full float64 precision, so reruns with the same seed are
+byte-identical; everything else as `%d`.  Every float goes through `_g17`,
+one formatter for a table of any size: numpy digits where 1e-4 <= |v| < 1,
+`%` for the rest.
 An input series is read a block of bytes at a time, by `_blocks` alone,
 and parsed in bulk or by csv's row loop into one float64 array and, for
 `date,value` rows, one `_DateColumn`: the dates as one UTF-8 buffer and
@@ -113,24 +114,22 @@ def _lag_list(text: str) -> Tuple[int, ...]:
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """Write equal-length columns as csv's writer would, one %-format per chunk.
 
-    The column decides its cells: a `_DateColumn` writes its dates as the
-    bytes they were read as, quoted as csv quotes; a column of floats
-    (Python floats or a numpy float dtype) writes `%.17g` of each, through
-    one `_g17` call on all float cells of a chunk; any other column (ints,
-    bools, a `range`) writes `%d`.  The floats of a numpy column become text
-    a chunk at a time, so no full-length list of them is made.
+    Every column is sliced alike, a chunk of rows at a time, and the dtype of
+    its first cell decides its cells: bytes (a `_DateColumn`'s dates, as read
+    and quoted as csv quotes) are written as they are; floats (Python floats
+    or a numpy float dtype) as `%.17g` of each, through one `_g17` call on all
+    float cells of a chunk; anything else (ints, bools, a `range`) as `%d`.
+    The floats of a numpy column become text a chunk at a time, so no
+    full-length list of them is made.
     """
-    floats = [j for j, c in enumerate(columns)
-              if not isinstance(c, _DateColumn) and np.asarray(c[:1]).dtype.kind == "f"]
-    # dates and floats come as bytes, from `cells` and `_g17`
-    row_format = b",".join(b"%b" if j in floats or isinstance(c, _DateColumn) else b"%d"
-                           for j, c in enumerate(columns)) + b"\r\n"
+    kinds = [np.asarray(c[:1]).dtype.kind for c in columns]
+    floats = [j for j, kind in enumerate(kinds) if kind == "f"]
+    # dates and floats come as bytes, from the slice and from `_g17`
+    row_format = b",".join(b"%b" if kind in "fS" else b"%d" for kind in kinds) + b"\r\n"
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode("utf-8"))
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            stop = start + CSV_CHUNK_ROWS
-            chunk = [c.cells(start, stop) if isinstance(c, _DateColumn) else c[start:stop]
-                     for c in columns]
+            chunk = [c[start:start + CSV_CHUNK_ROWS] for c in columns]
             n_rows = len(chunk[0])
             if floats:
                 texts = _g17(np.array([chunk[j] for j in floats], dtype=float).ravel())
@@ -144,74 +143,50 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) ->
             fh.write(row_format * n_rows % tuple(cells))
 
 
-def _csv_quoted(cell: bytes) -> bytes:
-    """`cell` quoted by csv's minimal rule: wrapped in `"`, its inner `"`
-    doubled, when it holds `,`, `"`, CR or LF; `cell` itself when not.  The
-    rule reads UTF-8 bytes as it reads text, since no byte of a multi-byte
-    character is ASCII."""
-    if any(char in cell for char in b',"\r\n'):
-        return b'"' + cell.replace(b'"', b'""') + b'"'
-    return cell
-
-
 def _g17(values: np.ndarray) -> List[bytes]:
-    """`b"%.17g" % v` for each v of `values`: by `_g17_fixed` where it
-    applies, and by `%` for the rest."""
-    texts, fixed = _g17_fixed(values)
-    cells = np.zeros(values.size, dtype=texts.dtype)
-    cells[fixed] = texts
-    cells = cells.tolist()
-    for i in np.flatnonzero(~fixed).tolist():
-        cells[i] = b"%.17g" % values[i]
-    return cells
+    """`b"%.17g" % v` for each v of `values`: in numpy where 1e-4 <= |v| < 1,
+    by `%` for the rest.
 
-
-def _g17_fixed(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """`b"%.17g" % v` for the v of `values` with 1e-4 <= |v| < 1, in numpy.
-
-    Returns the texts, as a bytes array, and the mask of the values they format.
-    With E = floor(log10|v|), 10^k for k = 16 - E <= 20 is an exact double,
-    and Dekker's two-product gives hi + lo = |v|*10^k with no rounding.
-    hi >= 2^53 is an even integer, so D = hi + rint(lo) is the product
-    rounded to an integer with ties to even, as `%` rounds.  When D has 17
-    digits, E is the exponent of the rounded value, and `%.17g` writes the
-    sign, "0.", -E - 1 zeros, then D without its trailing zeros.  A value
-    whose D does not have 17 digits is left out: the few within 5 ulps
-    below 0.1, 0.01 and 0.001, where log10 rounds up to the power of ten.
+    The band of v gives E = floor(log10|v|) exactly: the doubles 1e-4,
+    1e-3, 0.01 and 0.1 each lie just above their power of ten, with no double
+    between, and a negative bound is the double after -10^E, toward 0.  10^k
+    for k = 16 - E <= 20 is an exact double, and Dekker's two-product gives
+    hi + lo = |v|*10^k with no rounding.  hi >= 2^53 is an even integer, so
+    D = hi + rint(lo) is the product rounded to an integer with ties to
+    even, as `%` rounds, and it has 17 digits: no double below 10^(E+1)
+    rounds up to it.  `%.17g` then writes the sign, "0.", -E - 1 zeros, then
+    D without its trailing zeros.  The values of the other bands are zeroed
+    here, and `%` writes them after.
     """
-    magnitude = np.abs(values)
-    # comparisons with nan are False, so only finite values go on
-    fixed = (magnitude >= 1e-4) & (magnitude < 1.0)
-    magnitude = magnitude[fixed]
-    places = -1 - np.clip(np.floor(np.log10(magnitude)), -4, -1).astype(np.intp)  # -E - 1
-    product = magnitude * _G17_SCALES[places]
-    v_hi, v_lo = _dekker_split(magnitude)
-    lo = (((v_hi * _G17_SCALES_HI[places] - product) + v_hi * _G17_SCALES_LO[places]
-           + v_lo * _G17_SCALES_HI[places]) + v_lo * _G17_SCALES_LO[places])
+    band = np.searchsorted(_G17_BOUNDS, values, side="right")
+    scale = _G17_SCALES[band]  # 10^k, with the sign of v; 0 outside numpy's bands
+    outside = scale == 0.0
+    v = np.where(outside, 0.0, values)
+    product = v * scale
+    v_hi, v_lo = _dekker_split(v)
+    scale_hi, scale_lo = _dekker_split(scale)
+    lo = (((v_hi * scale_hi - product) + v_hi * scale_lo + v_lo * scale_hi)
+          + v_lo * scale_lo)
     digits = product.astype(np.int64) + np.rint(lo).astype(np.int64)
-    exact = (digits >= 10**16) & (digits < 10**17)
-    if not exact.all():
-        fixed[fixed] = exact
-        digits, places = digits[exact], places[exact]
     # D as a leading digit and four groups of four, each group one uint32
     # of ASCII digits from `_DIGITS4`; scalar divisors keep the int64
     # divisions fast
     high = digits // 10**8
     low = digits - high * 10**8
-    lead = high // 10**8
+    groups = np.empty((values.size, 5), dtype=np.intp)
+    groups[:, 0] = lead = high // 10**8
     high -= lead * 10**8
-    groups = np.empty((digits.size, 4), dtype=np.intp)
-    groups[:, 0] = high // 10**4
-    groups[:, 1] = high - groups[:, 0] * 10**4
-    groups[:, 2] = low // 10**4
-    groups[:, 3] = low - groups[:, 2] * 10**4
-    words = np.empty((digits.size, 5), dtype=np.uint32)
-    words[:, 1:] = _DIGITS4[groups]
-    chars = words.view(np.uint8)
-    chars[:, 3] = lead + ord("0")
-    text = np.char.rstrip(chars[:, 3:].view("S17")[:, 0], b"0")
-    prefix = _G17_PREFIXES[places + 4 * np.signbit(values[fixed])]
-    return np.char.add(prefix, text), fixed
+    groups[:, 1] = quotient = high // 10**4
+    groups[:, 2] = high - quotient * 10**4
+    groups[:, 3] = quotient = low // 10**4
+    groups[:, 4] = low - quotient * 10**4
+    # the leading digit is the last of its group's four
+    text = _DIGITS4[groups].view(np.uint8)[:, 3:].view("S17")[:, 0]
+    cells = np.char.add(_G17_PREFIXES[band], np.char.rstrip(text, b"0")).tolist()
+    rest = outside.nonzero()[0]
+    for i, value in zip(rest.tolist(), values[rest].tolist()):
+        cells[i] = b"%.17g" % value
+    return cells
 
 
 def _dekker_split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -221,16 +196,19 @@ def _dekker_split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-# `_g17_fixed`'s tables, each small enough to build at import: 10^k for
-# k = 17..20 and its Dekker halves, by -E - 1; the ASCII digits of 0000 to
-# 9999 as one uint32 each; the text before D, by -E - 1 and then by sign
-_G17_SCALES = np.array([1e17, 1e18, 1e19, 1e20])
-_G17_SCALES_HI, _G17_SCALES_LO = _dekker_split(_G17_SCALES)
+# `_g17`'s tables, each small enough to build at import.  The band of v is
+# the number of bounds at or below it (nan: all ten); bands 0, 5 and 10 are
+# the values `%` writes.  By band: 10^k, with the sign of v, and the text
+# before D; the ASCII digits of 0000 to 9999 as one uint32 each
+_G17_BOUNDS = np.array([*np.nextafter([-1.0, -0.1, -0.01, -0.001, -1e-4], 0.0),
+                        1e-4, 1e-3, 1e-2, 0.1, 1.0])
+_G17_SCALES = np.array([0.0, -1e17, -1e18, -1e19, -1e20, 0.0, 1e20, 1e19, 1e18, 1e17, 0.0])
+_G17_PREFIXES = np.array([b"", b"-0.", b"-0.0", b"-0.00", b"-0.000", b"",
+                          b"0.000", b"0.00", b"0.0", b"0.", b""])
 # (in uint16: int64 temporaries raised the peak RSS of an import by 1 MB)
 _DIGITS4 = ((np.arange(10_000, dtype=np.uint16)[:, None]
              // np.array([1000, 100, 10, 1], dtype=np.uint16)) % 10
             + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_G17_PREFIXES = np.array([b"0.", b"0.0", b"0.00", b"0.000", b"-0.", b"-0.0", b"-0.00", b"-0.000"])
 
 
 def _write_json(path: str, payload: Dict) -> None:
@@ -252,10 +230,14 @@ class _DateColumn:
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def cells(self, start: int, stop: int) -> List[bytes]:
-        """The dates of rows start to stop (clipped to the column) as UTF-8
-        bytes, each quoted by `_csv_quoted` as csv's writer would quote it."""
-        offsets = self.offsets[start:stop + 1].tolist()
+    def __getitem__(self, rows: slice) -> List[bytes]:
+        """The dates of rows `start:stop` (start <= stop), clipped to the
+        column as a list clips them, as UTF-8 bytes, each quoted as csv's
+        writer quotes: wrapped in `"`, its inner `"` doubled, when it holds
+        `,`, `"`, CR or LF.  The rule reads UTF-8 bytes as it reads text,
+        since no byte of a multi-byte character is ASCII."""
+        rows = range(len(self))[rows]
+        offsets = self.offsets[rows.start:rows.stop + 1].tolist()
         dates = bytes(memoryview(self.buffer)[offsets[0]:offsets[-1]])
         cells = dates.split(b"\n")
         cells.pop()  # after the last date's LF
@@ -263,7 +245,9 @@ class _DateColumn:
         # quoted one read by `_read_rows` can hold, adds a cell
         if len(cells) == len(offsets) - 1 and not any(char in dates for char in b',"\r'):
             return cells
-        return [_csv_quoted(bytes(self.buffer[a:b - 1])) for a, b in zip(offsets, offsets[1:])]
+        cells = [bytes(self.buffer[a:b - 1]) for a, b in zip(offsets, offsets[1:])]
+        return [b'"' + cell.replace(b'"', b'""') + b'"'
+                if any(char in cell for char in b',"\r\n') else cell for cell in cells]
 
 
 _Series = Tuple[Optional[_DateColumn], np.ndarray]

@@ -30,7 +30,7 @@ from supou import (
 from supou import cli
 from supou.cli import (
     CSV_CHUNK_ROWS, HIST_BINS, PARAM_NAMES, _READ_BLOCK_BYTES,
-    _blocks, _g17, _g17_fixed, _read_blocks, _read_rows, _run_estimate, _write_csv,
+    _blocks, _g17, _read_blocks, _read_rows, _run_estimate, _write_csv,
     build_parser, main, read_series,
 )
 from supou.descriptive import demean, histogram, normal_qq_points
@@ -88,7 +88,7 @@ class TestSimulate:
         schedule = ObservationSchedule(1.0, 25)
         sample = simulate_path(ModelKind.SUPOU, LevySpec.from_moments(0.015, 0.003),
                                PiSpec(4.0, -0.1), schedule, SimulationConfig(seed=6))
-        assert_array_equal([float(t) for t in times.cells(0, len(times))], schedule.times())
+        assert_array_equal([float(t) for t in times[0:len(times)]], schedule.times())
         assert_array_equal(values, sample.values)
 
     def test_truncation_lead_is_unknown(self, tmp_path):
@@ -977,20 +977,28 @@ class TestCsvBytes:
     @pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS + 7])
     def test_the_column_decides_the_cell(self, tmp_path, n):
         # dates as read, floats as %.17g, everything else as %d (the ints
-        # pass 10^17, where %.17g would round them); one row has too few
-        # floats for `_g17`'s numpy digits, the other spans two chunks
-        dates = [f'day "{i}", Mon' if i % 3 else f"2020-{i:05d}" for i in range(n)]
+        # pass 10^17, where %.17g would round them); one table has a single
+        # row, the other spans two chunks
+        kinds = ["2020-{:05d}", "{}, Mon", 'day "{}"', "{}\nMon", "{}\rMon", "día {:05d} € 日"]
+        dates = [kinds[i % len(kinds)].format(i) for i in range(n)]
         offsets = np.cumsum([0] + [len(d.encode()) + 1 for d in dates])
         rng = np.random.default_rng(n)
         floats = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)).tolist()
-        columns = [cli._DateColumn(bytearray("".join(d + "\n" for d in dates).encode()), offsets),
-                   range(10**17, 10**17 + n), [i % 2 == 0 for i in range(n)],
+        column = cli._DateColumn(bytearray("".join(d + "\n" for d in dates).encode()), offsets)
+        columns = [column, range(10**17, 10**17 + n), [i % 2 == 0 for i in range(n)],
                    np.arange(n) - 5 * 10**18, floats, sv_returns(n)]
         _write_csv(tmp_path / "table.csv", list("abcdef"), columns)
         ints = [[f"{int(v):d}" for v in column] for column in columns[1:4]]
         texts = [[f"{v:.17g}" for v in column] for column in columns[4:]]
         assert read(tmp_path / "table.csv") == csv_writer_bytes(list("abcdef"),
                                                                 zip(dates, *ints, *texts))
+        # a slice of dates is csv's cells, clipped as a list is: one slice
+        # crosses a chunk's end, one runs past the column's
+        for start, stop in [(0, n), (CSV_CHUNK_ROWS - 3, CSV_CHUNK_ROWS + 3), (n - 1, n + 5)]:
+            cells = column[start:stop]
+            assert len(cells) == len(dates[start:stop])
+            assert b"a\r\n" + b"".join(cell + b"\r\n" for cell in cells) == csv_writer_bytes(
+                ["a"], ([d] for d in dates[start:stop]))
 
     @pytest.mark.parametrize("model", ["supou", "integrated", "sv"])
     def test_path_file_matches_csv_writer(self, tmp_path, model):
@@ -1054,11 +1062,17 @@ def dyadic_ties():
     return np.concatenate(ties)
 
 
+def numpy_marked(monkeypatch):
+    """Make `_g17` write a `:` for the point of every cell it takes in numpy,
+    so a cell that fell back to `%` shows."""
+    monkeypatch.setattr(cli, "_G17_PREFIXES", np.char.replace(cli._G17_PREFIXES, b".", b":"))
+
+
 class TestG17:
     """`_g17` against `b"%.17g" % v`, the bytes of every `%.17g` CSV cell."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_any_float(self, values):
         assert _g17(np.array(values)) == [b"%.17g" % v for v in values]
 
@@ -1070,28 +1084,34 @@ class TestG17:
         assert _g17(np.array(values)) == [b"%.17g" % v for v in values]
 
     def test_every_size_takes_numpy(self, monkeypatch):
-        # no size rule: every size, empty included, goes through `_g17_fixed`
-        sizes = [0, 1, 159, 160, 200]
+        # no size rule: every size, empty included, takes numpy's digits
+        sizes = [0, 1, 2, 159, 160, 200, CSV_CHUNK_ROWS + 1]
         values = np.linspace(0.001, 0.9, max(sizes))
-        calls = []
-        monkeypatch.setattr(cli, "_g17_fixed", lambda v: calls.append(v.size) or _g17_fixed(v))
         for size in sizes:
             assert _g17(values[:size]) == [b"%.17g" % v for v in values[:size].tolist()]
-        assert calls == sizes
+        numpy_marked(monkeypatch)
+        for size in sizes:
+            assert _g17(values[:size]) == [(b"%.17g" % v).replace(b".", b":")
+                                           for v in values[:size].tolist()]
 
-    def test_edges(self):
+    def test_edges(self, monkeypatch):
+        # ulps_around covers 1e-4 and the float below it, the five floats
+        # below 0.1, 0.01 and 0.001, and 1 - 2^-53
         values = np.concatenate([
-            [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308],
+            [math.nan, math.inf, 0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308],
             *(ulps_around(float(f"1e{k}"), 200) for k in range(-5, 2)),
             dyadic_ties(),
         ])
         values = np.concatenate([values, -values])
         assert _g17(values) == [b"%.17g" % v for v in values.tolist()]
-        # the ties are taken in numpy, which must round them to even as % does
-        ties = dyadic_ties()
-        assert _g17_fixed(ties)[1].all()
+        # every value with 1e-4 <= |v| < 1 is taken in numpy, the ties too,
+        # which must round to even as % does
+        numpy_marked(monkeypatch)
+        fixed = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1.0)]
+        assert fixed.size > 2 * dyadic_ties().size
+        assert _g17(fixed) == [(b"%.17g" % v).replace(b".", b":") for v in fixed.tolist()]
 
-    def test_returns_take_no_fallback(self):
+    def test_returns_take_no_fallback(self, monkeypatch):
         # a fall back to % on every cell would still give the right bytes, only slowly
         rng = np.random.default_rng(0)
         returns = np.concatenate([
@@ -1100,6 +1120,6 @@ class TestG17:
         ])
         returns = returns[(np.abs(returns) >= 1e-4) & (np.abs(returns) < 1.0)]
         assert returns.size > 1.5 * CSV_CHUNK_ROWS
-        texts, fixed = _g17_fixed(returns)
-        assert fixed.all()
-        assert texts.tolist() == [b"%.17g" % v for v in returns.tolist()]
+        assert _g17(returns) == [b"%.17g" % v for v in returns.tolist()]
+        numpy_marked(monkeypatch)
+        assert _g17(returns) == [(b"%.17g" % v).replace(b".", b":") for v in returns.tolist()]
